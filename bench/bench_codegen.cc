@@ -122,8 +122,7 @@ BuiltKernel BuildDense() {
 void BenchThreeTiers(const std::string& name, BuiltKernel k, int repeats) {
   std::vector<BufferBinding> bind = k.Bindings();
   std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(k.func);
-  codegen::NativeKernel native =
-      codegen::CompileNativeKernel(k.func, LoopSpecializeOptions{});
+  codegen::NativeKernel native = codegen::CompileNativeKernel(k.func);
   if (prog == nullptr || !native) {
     std::printf("%s: VM or native compile failed, skipping\n", name.c_str());
     return;
@@ -159,8 +158,7 @@ void BenchCompileCache() {
   }
   codegen::ClearNativeModuleRegistryForTesting();
   bench::WallTimer cold;
-  codegen::NativeKernel first =
-      codegen::CompileNativeKernel(k.func, LoopSpecializeOptions{});
+  codegen::NativeKernel first = codegen::CompileNativeKernel(k.func);
   double cold_ms = cold.Ms();
   if (!first) {
     std::printf("native_compile_cache: compile failed, skipping\n");
@@ -169,7 +167,7 @@ void BenchCompileCache() {
   bench::WallTimer warm;
   const int hits = 50;
   for (int i = 0; i < hits; ++i) {
-    codegen::CompileNativeKernel(k.func, LoopSpecializeOptions{});
+    codegen::CompileNativeKernel(k.func);
   }
   double warm_ms = warm.Ms() / hits;
   if (saved == nullptr) {

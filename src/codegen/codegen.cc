@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/interp/interp.h"
+#include "src/ir/functor.h"
 #include "src/ir/intrin_table.h"
 #include "src/ir/printer.h"
 #include "src/ir/simplify.h"
@@ -34,6 +36,43 @@ std::string HexU64(uint64_t v) {
   return buf;
 }
 
+// Stands for the kernel's own symbol in the names of its outlined parallel bodies
+// until the symbol (a hash of the emitted text) is known. '@' appears nowhere else
+// in emitted code: identifiers are sanitized and CEscape escapes it.
+constexpr const char* kSelf = "tn@";
+
+// Size rule for running a kParallel loop on the caller's pool: its static work, the
+// constant extent times the constant extents of every loop nested in its body, must
+// reach 2^16. A loop VectorizeLoop materialized counts as its lane count. Smaller
+// loops (and loops with a symbolic extent) run inline, where chunk dispatch and
+// worker wake-up would cost more than they save.
+constexpr double kMinParallelWork = 65536;
+
+double StaticWork(const ForNode* loop) {
+  auto extent = [](const Expr& e) {
+    return e->kind == ExprKind::kIntImm
+               ? static_cast<double>(static_cast<const IntImmNode*>(e.get())->value)
+               : -1.0;
+  };
+  double work = extent(loop->extent);
+  if (work <= 0) {
+    return 0;
+  }
+  int lanes = 1;
+  PostOrderVisitStmt(loop->body, [&](const Stmt& s) {
+    if (s->kind == StmtKind::kFor) {
+      double e = extent(static_cast<const ForNode*>(s.get())->extent);
+      if (e >= 0) {
+        work *= e;
+      }
+    } else if (s->kind == StmtKind::kStore) {
+      const auto* n = static_cast<const StoreNode*>(s.get());
+      lanes = std::max({lanes, n->value->dtype.lanes(), n->index->dtype.lanes()});
+    }
+  });
+  return work * lanes;
+}
+
 std::string SanitizeIdent(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -55,6 +94,7 @@ std::string CEscape(const std::string& s) {
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
+      case '@': out += "\\100"; break;  // keeps kSelf out of string literals
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
@@ -101,6 +141,7 @@ class CEmitter {
       DataType store = a.dtype.element_of();
       std::string name = "a" + std::to_string(i);
       bufs_[a.var.get()] = BufInfo{name, store};
+      arg_bufs_.insert(a.var.get());
       Line(std::string(StorageCType(store)) + "* " + name + " = (" +
            StorageCType(store) + "*)bufs[" + std::to_string(i) + "];");
       Line("(void)" + name + ";");
@@ -111,6 +152,9 @@ class CEmitter {
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
+  // Env structs and static body functions of the outlined parallel loops, which
+  // must precede the kernel function.
+  const std::string& outlined() const { return outlined_; }
 
  private:
   struct BufInfo {
@@ -463,29 +507,12 @@ class CEmitter {
         break;
       case StmtKind::kFor: {
         const auto* n = static_cast<const ForNode*>(s.get());
-        // All loop kinds run serially, like the interpreter: kParallel/kVThread/
-        // kThreadBinding are data-parallel by construction, and any kVectorized
-        // loop still present is one the VectorizeLoop pass could not prove.
-        CV min_v = EmitExpr(n->min);
-        CV ext = EmitExpr(n->extent);
-        std::string tmin = NewTemp();
-        std::string text = NewTemp();
-        std::string lv = VarName(n->loop_var.get());
-        Line("{");
-        ++indent_;
-        Line("int64_t " + tmin + " = " + AsI(min_v) + ";");
-        Line("int64_t " + text + " = " + AsI(ext) + ";");
-        Line("for (int64_t " + lv + " = " + tmin + "; " + lv + " < " + tmin + " + " +
-             text + "; ++" + lv + ") {");
-        ++indent_;
-        auto saved = SaveVar(n->loop_var.get());
-        env_[n->loop_var.get()] = VarInfo{lv, false};
-        EmitStmt(n->body);
-        RestoreVar(n->loop_var.get(), saved);
-        --indent_;
-        Line("}");
-        --indent_;
-        Line("}");
+        if (n->for_type == ForType::kParallel && !in_parallel_ &&
+            StaticWork(n) >= kMinParallelWork && !ParallelHazard(n, arg_bufs_)) {
+          EmitParallelFor(n);
+        } else {
+          EmitSerialFor(n);
+        }
         break;
       }
       case StmtKind::kIfThenElse: {
@@ -515,6 +542,101 @@ class CEmitter {
         EmitEvaluate(static_cast<const EvaluateNode*>(s.get())->value);
         break;
     }
+  }
+
+  // Every other loop runs serially, like the interpreter: kParallel loops that are
+  // small, hazardous or nested in an outlined one, kVThread/kThreadBinding loops
+  // (data-parallel by construction), and any kVectorized loop the VectorizeLoop
+  // pass could not prove.
+  void EmitSerialFor(const ForNode* n) {
+    CV min_v = EmitExpr(n->min);
+    CV ext = EmitExpr(n->extent);
+    std::string tmin = NewTemp();
+    std::string text = NewTemp();
+    std::string lv = VarName(n->loop_var.get());
+    Line("{");
+    ++indent_;
+    Line("int64_t " + tmin + " = " + AsI(min_v) + ";");
+    Line("int64_t " + text + " = " + AsI(ext) + ";");
+    Line("for (int64_t " + lv + " = " + tmin + "; " + lv + " < " + tmin + " + " + text +
+         "; ++" + lv + ") {");
+    ++indent_;
+    auto saved = SaveVar(n->loop_var.get());
+    env_[n->loop_var.get()] = VarInfo{lv, false};
+    EmitStmt(n->body);
+    RestoreVar(n->loop_var.get(), saved);
+    --indent_;
+    Line("}");
+    --indent_;
+    Line("}");
+  }
+
+  // An outermost parallel loop that passed the size and hazard rules: its body is
+  // outlined into `static void <kSelf>_pN(void* env, int64_t begin, int64_t end)`
+  // over a struct that captures every variable and buffer in scope by value, and
+  // the kernel hands it to tn_parallel, which chunks [min, min + extent) on the
+  // host's pool. Body-local allocations stay chunk-private, as on the VM.
+  void EmitParallelFor(const ForNode* n) {
+    CV min_v = EmitExpr(n->min);
+    CV ext = EmitExpr(n->extent);
+    std::string id = std::to_string(num_outlined_++);
+    std::string env_type = std::string("struct ") + kSelf + "_e" + id;
+    std::string body_fn = std::string(kSelf) + "_p" + id;
+    // (C name, C type), sorted so the text and its content-addressed symbol do not
+    // depend on hash-map order.
+    std::vector<std::pair<std::string, std::string>> captures;
+    for (const auto& [var, info] : env_) {
+      captures.emplace_back(info.name, info.is_float ? "double" : "int64_t");
+    }
+    for (const auto& [var, buf] : bufs_) {
+      captures.emplace_back(buf.name, std::string(StorageCType(buf.dtype)) + "*");
+    }
+    std::sort(captures.begin(), captures.end());
+
+    std::string caller_body = std::move(body_);
+    int caller_indent = indent_;
+    body_.clear();
+    indent_ = 1;
+    Line(env_type + "* tn_env = (" + env_type + "*)tn_envp;");
+    for (const auto& [name, type] : captures) {
+      Line(type + " " + name + " = tn_env->" + name + ";");
+      Line("(void)" + name + ";");
+    }
+    std::string lv = VarName(n->loop_var.get());
+    Line("for (int64_t " + lv + " = tn_begin; " + lv + " < tn_end; ++" + lv + ") {");
+    ++indent_;
+    auto saved = SaveVar(n->loop_var.get());
+    env_[n->loop_var.get()] = VarInfo{lv, false};
+    in_parallel_ = true;
+    EmitStmt(n->body);
+    in_parallel_ = false;
+    RestoreVar(n->loop_var.get(), saved);
+    --indent_;
+    Line("}");
+    std::string fields;
+    std::string init;
+    for (const auto& [name, type] : captures) {
+      fields += "  " + type + " " + name + ";\n";
+      init += (init.empty() ? "." : ", .") + name + " = " + name;
+    }
+    outlined_ += env_type + " {\n" + fields + "};\n" + "static void " + body_fn +
+                 "(void* tn_envp, int64_t tn_begin, int64_t tn_end) {\n" + body_ +
+                 "}\n\n";
+    body_ = std::move(caller_body);
+    indent_ = caller_indent;
+
+    std::string tmin = NewTemp();
+    std::string text = NewTemp();
+    std::string tenv = NewTemp();
+    Line("{");
+    ++indent_;
+    Line("int64_t " + tmin + " = " + AsI(min_v) + ";");
+    Line("int64_t " + text + " = " + AsI(ext) + ";");
+    Line(env_type + " " + tenv + " = {" + init + "};");
+    Line("tn_parallel(par, " + body_fn + ", &" + tenv + ", " + tmin + ", " + tmin +
+         " + " + text + ");");
+    --indent_;
+    Line("}");
   }
 
   void EmitStore(const StoreNode* n) {
@@ -742,6 +864,10 @@ class CEmitter {
   bool ok_ = true;
   std::string error_;
   std::string body_;
+  std::string outlined_;
+  int num_outlined_ = 0;
+  bool in_parallel_ = false;
+  std::unordered_set<const VarNode*> arg_bufs_;
   int indent_ = 1;
   int temp_counter_ = 0;
   std::string lane_ = "0";
@@ -846,6 +972,25 @@ static inline float tn_h_to_f32(uint16_t h) {
 
 static inline float tn_qf16(float v) { return tn_h_to_f32(tn_f32_to_h(v)); }
 
+/* Parallel-launch ABI (ParallelLauncher in src/codegen/native.h). An outlined
+   kParallel loop body runs as body(env, b, e) over chunks [b, e) of its range on
+   the host's pool, or over the whole range on this thread without a launcher. */
+typedef void (*tn_body_fn)(void* env, int64_t begin, int64_t end);
+typedef struct tn_launcher {
+  void (*launch)(const struct tn_launcher* self, tn_body_fn body, void* env,
+                 int64_t begin, int64_t end);
+  const void* exec;
+} tn_launcher;
+
+static inline void tn_parallel(const tn_launcher* par, tn_body_fn body, void* env,
+                               int64_t begin, int64_t end) {
+  if (par != NULL) {
+    par->launch(par, body, env, begin, end);
+  } else {
+    body(env, begin, end);
+  }
+}
+
 static void tn_assert_fail(const char* msg) {
   fprintf(stderr, "%s\n", msg);
   abort();
@@ -855,22 +1000,20 @@ static void tn_assert_fail(const char* msg) {
   return preamble;
 }
 
-CSource EmitC(const LoweredFunc& func, const LoopSpecializeOptions& spec) {
+CSource EmitC(const LoweredFunc& func) {
   CSource src;
   Stmt body = func.body;
   if (body == nullptr) {
     src.error = "null body";
     return src;
   }
-  // The exact preprocessing pipeline the VM compiler applies (CompileToProgram):
-  // each pass is bitwise-neutral, so the three tiers execute the same program.
+  // The VM's preprocessing pipeline (CompileToProgram) minus SpecializeLoops: each
+  // pass is bitwise-neutral, so the three tiers execute the same program, and the
+  // unrolling and hoisting SpecializeLoops does for the VM `cc -O2` does here.
   if (HasThreadIdxBinding(body)) {
     body = SerializeThreadBlocks(body);
   }
   body = VectorizeLoop(body);
-  if (spec.unroll_limit > 0 || spec.hoist_invariants) {
-    body = SpecializeLoops(body, spec);
-  }
   body = Simplify(body);
 
   CEmitter emitter;
@@ -879,11 +1022,16 @@ CSource EmitC(const LoweredFunc& func, const LoopSpecializeOptions& spec) {
     src.error = emitter.error();
     return src;
   }
-  // Content-addressed symbol: stable for identical (name, emitted body) pairs, so
+  // Content-addressed symbol: stable for identical (name, emitted text) pairs, so
   // identical kernels dedupe inside a module and across cache entries.
-  src.symbol =
-      "tn_" + SanitizeIdent(func.name) + "_" + HexU64(Fnv1a(func.name + "\n" + fn_body));
-  src.code = "void " + src.symbol + "(void** bufs) {\n" + fn_body + "}\n";
+  std::string text = emitter.outlined() + "void " + kSelf +
+                     "(void** bufs, const tn_launcher* par) {\n" + fn_body + "}\n";
+  src.symbol = "tn_" + SanitizeIdent(func.name) + "_" + HexU64(Fnv1a(func.name + "\n" + text));
+  for (size_t pos = text.find(kSelf); pos != std::string::npos;
+       pos = text.find(kSelf, pos + src.symbol.size())) {
+    text.replace(pos, std::string(kSelf).size(), src.symbol);
+  }
+  src.code = std::move(text);
   src.ok = true;
   return src;
 }

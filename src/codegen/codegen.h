@@ -1,11 +1,12 @@
 // Tier-2 AOT backend, part 1: TIR -> C pretty-printer.
 //
-// EmitC lowers a LoweredFunc body through the exact same preprocessing pipeline the
-// bytecode VM uses (SerializeThreadBlocks / VectorizeLoop / SpecializeLoops /
-// Simplify) and pretty-prints the result as a self-contained C function over the
-// interpreter's widened buffer layout (float16 stored as float, int8 as int8_t, ...):
+// EmitC lowers a LoweredFunc body through the VM's preprocessing pipeline minus loop
+// specialization (SerializeThreadBlocks / VectorizeLoop / Simplify; the unrolling and
+// hoisting SpecializeLoops does for the VM, `cc -O2` does here) and pretty-prints
+// the result as a self-contained C function over the interpreter's widened buffer
+// layout (float16 stored as float, int8 as int8_t, ...):
 //
-//   void <symbol>(void** bufs);   // bufs[i] = args[i].data, positionally
+//   void <symbol>(void** bufs, const tn_launcher* par);  // bufs[i] = args[i].data
 //
 // The emitted code mirrors the reference interpreter's value model statement by
 // statement — all float arithmetic in double, ints as int64_t, floor div/mod,
@@ -15,6 +16,12 @@
 // therefore to the VM) on every non-trapping program. Constructs outside the
 // supported set (unknown intrinsics, Reduce, ...) mark the source not-ok and the
 // caller falls back down-tier, exactly like vm::CompileToProgram returning null.
+//
+// An outermost kParallel loop that passes the shared hazard rule (ParallelHazard,
+// src/lower/lower.h) and has at least 2^16 static work is outlined into a static
+// body function over a captured-environment struct; `par` runs it over the VM's
+// deterministic chunks of its range on the caller's pool (native.h). All other
+// loops are emitted inline and run serially.
 //
 // Part 2 (native.h) compiles emitted sources with the system compiler and dlopens
 // the result.
@@ -31,7 +38,7 @@ namespace codegen {
 // One emitted kernel: a C function definition (no includes; pairs with Preamble()).
 struct CSource {
   std::string symbol;  // C function name, content-addressed (stable across runs)
-  std::string code;    // full function definition text
+  std::string code;    // outlined parallel bodies, then the kernel function
   bool ok = false;
   std::string error;   // first unsupported construct when !ok
 };
@@ -40,8 +47,8 @@ struct CSource {
 // that must precede any emitted function in a translation unit.
 const std::string& Preamble();
 
-// Emits `func` as C after the VM's preprocessing pipeline under `spec`.
-CSource EmitC(const LoweredFunc& func, const LoopSpecializeOptions& spec);
+// Emits `func` (with its outlined parallel bodies) as C.
+CSource EmitC(const LoweredFunc& func);
 
 }  // namespace codegen
 }  // namespace tvmcpp

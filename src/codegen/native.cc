@@ -144,6 +144,12 @@ std::shared_ptr<NativeModule> TryOpen(const std::string& so_path,
   return module;
 }
 
+void LaunchOnPool(const ParallelLauncher* self, void (*body)(void*, int64_t, int64_t),
+                  void* env, int64_t begin, int64_t end) {
+  vm::ParallelFor(*self->exec, begin, end,
+                  [body, env](int64_t b, int64_t e) { body(env, b, e); });
+}
+
 }  // namespace
 
 NativeModule::NativeModule(void* handle, std::string path)
@@ -240,12 +246,11 @@ std::shared_ptr<NativeModule> CompileNativeModule(const std::vector<CSource>& sr
   return it->second;  // a concurrent compile may have won the race; share its module
 }
 
-std::vector<NativeKernel> CompileNativeKernels(
-    const std::vector<const LoweredFunc*>& funcs, const LoopSpecializeOptions& spec) {
+std::vector<NativeKernel> CompileNativeKernels(const std::vector<const LoweredFunc*>& funcs) {
   std::vector<CSource> srcs;
   srcs.reserve(funcs.size());
   for (const LoweredFunc* f : funcs) {
-    CSource s = EmitC(*f, spec);
+    CSource s = EmitC(*f);
     g_emits.fetch_add(1, std::memory_order_relaxed);
     if (!s.ok) {
       g_emit_failures.fetch_add(1, std::memory_order_relaxed);
@@ -266,13 +271,12 @@ std::vector<NativeKernel> CompileNativeKernels(
   return kernels;
 }
 
-NativeKernel CompileNativeKernel(const LoweredFunc& func,
-                                 const LoopSpecializeOptions& spec) {
-  return CompileNativeKernels({&func}, spec)[0];
+NativeKernel CompileNativeKernel(const LoweredFunc& func) {
+  return CompileNativeKernels({&func})[0];
 }
 
-void RunNativeKernel(const NativeKernel& kernel,
-                     const std::vector<BufferBinding>& args) {
+void RunNativeKernel(const NativeKernel& kernel, const std::vector<BufferBinding>& args,
+                     const vm::ExecOptions& exec) {
   CHECK(kernel.fn != nullptr) << "RunNativeKernel on an empty kernel";
   // Throwing fail-point mirroring "vm.run": an injected error surfaces as a
   // per-run fault feeding the serving layer's retry/fallback ladder.
@@ -282,7 +286,8 @@ void RunNativeKernel(const NativeKernel& kernel,
   for (const BufferBinding& a : args) {
     ptrs.push_back(a.data);
   }
-  kernel.fn(ptrs.data());
+  const ParallelLauncher par{LaunchOnPool, &exec};
+  kernel.fn(ptrs.data(), &par);
 }
 
 bool RunLoweredNative(const LoweredFunc& func, const std::vector<BufferBinding>& args) {
@@ -316,7 +321,7 @@ bool RunLoweredNative(const LoweredFunc& func, const std::vector<BufferBinding>&
     }
   }
   if (!cached) {
-    kernel = CompileNativeKernel(func, LoopSpecializeOptions::FromEnv());
+    kernel = CompileNativeKernel(func);
     std::lock_guard<std::mutex> lock(mu);
     if (cache->size() >= 1024) {
       cache->clear();  // crude eviction: bounds pinned ASTs in long-running processes

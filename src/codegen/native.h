@@ -29,12 +29,24 @@
 #include "src/codegen/codegen.h"
 #include "src/interp/interp.h"
 #include "src/lower/lower.h"
+#include "src/vm/vm.h"
 
 namespace tvmcpp {
 namespace codegen {
 
-// ABI of every emitted kernel: positional data pointers, widened storage layout.
-using KernelFn = void (*)(void**);
+// Host side of the emitted parallel-launch ABI (`tn_launcher` in Preamble()). An
+// outlined kParallel loop body calls launch(self, body, env, begin, end), and the
+// host runs body(env, b, e) over the chunks of [begin, end) that vm::ParallelFor
+// picks for *exec: on its pool and thread count, bitwise equal to the VM.
+struct ParallelLauncher {
+  void (*launch)(const ParallelLauncher* self, void (*body)(void*, int64_t, int64_t),
+                 void* env, int64_t begin, int64_t end);
+  const vm::ExecOptions* exec;
+};
+
+// ABI of every emitted kernel: positional data pointers in the widened storage
+// layout, plus the launcher for its parallel loops (nullptr runs them serially).
+using KernelFn = void (*)(void** bufs, const ParallelLauncher* par);
 
 // A dlopen'd shared object. Closed (dlclose) when the last reference dies.
 class NativeModule {
@@ -66,16 +78,15 @@ struct NativeKernel {
 
 // Emits + compiles a batch of functions as one module (one compiler invocation).
 // Entry i corresponds to funcs[i]; fn == nullptr where emission failed.
-std::vector<NativeKernel> CompileNativeKernels(
-    const std::vector<const LoweredFunc*>& funcs, const LoopSpecializeOptions& spec);
+std::vector<NativeKernel> CompileNativeKernels(const std::vector<const LoweredFunc*>& funcs);
 
 // Single-function convenience over CompileNativeKernels.
-NativeKernel CompileNativeKernel(const LoweredFunc& func,
-                                 const LoopSpecializeOptions& spec);
+NativeKernel CompileNativeKernel(const LoweredFunc& func);
 
 // Invokes a compiled kernel on positionally-bound buffers (fail-point "native.run").
-void RunNativeKernel(const NativeKernel& kernel,
-                     const std::vector<BufferBinding>& args);
+// Its outlined parallel loops run on `exec`'s pool and thread count, like vm::Run.
+void RunNativeKernel(const NativeKernel& kernel, const std::vector<BufferBinding>& args,
+                     const vm::ExecOptions& exec = {});
 
 // Emit-with-cache + compile + execute, used by the RunLowered dispatcher (per-body
 // cache like vm::RunLoweredVM). Returns false when the function cannot be emitted

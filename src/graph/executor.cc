@@ -199,7 +199,7 @@ void CompiledGraph::Compile() {
       funcs.push_back(&k.func);
     }
     std::vector<codegen::NativeKernel> native =
-        codegen::CompileNativeKernels(funcs, options_.specialize);
+        codegen::CompileNativeKernels(funcs);
     for (size_t i = 0; i < kernels_.size() && i < native.size(); ++i) {
       kernels_[i].native = native[i];
     }
@@ -309,7 +309,7 @@ void CompiledGraph::Run(RunContext* ctx, const vm::ExecOptions& exec) const {
     }
     if (engine == ExecEngine::kNative) {
       if (k.native) {
-        codegen::RunNativeKernel(k.native, bindings);
+        codegen::RunNativeKernel(k.native, bindings, exec);
         continue;
       }
       // Native engine selected but the kernel failed to emit/compile: record the

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/ir/stmt.h"
@@ -111,6 +112,16 @@ Stmt InjectVirtualThreads(const Stmt& s);
 // the execution engines (src/vm compile, vector-aware interpretation); the machine
 // models (src/sim) analyze the pre-vectorization loop nest.
 Stmt VectorizeLoop(const Stmt& s);
+
+// True when chunking the iterations of the kParallel loop `loop` across workers
+// could race (src/lower/parallel.cc): its body writes a buffer that is neither one
+// of `arg_buffers` nor allocated inside the body (an outer scratch allocation every
+// chunk would share), or writes an argument buffer at an index that does not
+// depend on the loop variable or a let derived from it (e.g. a reduction axis
+// marked parallel). Such loops run serially. Both tiers that chunk kParallel loops
+// (src/vm, src/codegen) ask this one question, so they agree on which loops chunk.
+bool ParallelHazard(const ForNode* loop,
+                    const std::unordered_set<const VarNode*>& arg_buffers);
 
 }  // namespace tvmcpp
 

@@ -15,7 +15,11 @@
 #ifndef SRC_RUNTIME_THREADPOOL_H_
 #define SRC_RUNTIME_THREADPOOL_H_
 
+#include <algorithm>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -129,6 +133,51 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+// Runs chunk(begin, end) over [lo, hi) split into min(hi - lo, threads) contiguous
+// blocks, block c covering [lo + ext*c/n, lo + ext*(c+1)/n). This is the one
+// chunking rule of kParallel loops on every tier: iterations are independent, so
+// results are bitwise identical for any block count. With threads <= 1 or a single
+// iteration the whole range runs as one call on the calling thread. Otherwise every
+// block is a nested job on `pool`, and the caller help-waits: it drains pending
+// nested jobs instead of idling, so a pool worker (a serving request fanning out its
+// own chunks) keeps chunks progressing and can never deadlock on a full pool.
+// General jobs (whole requests) are never stolen here. The first exception a block
+// throws is rethrown once every block has finished.
+template <typename F>
+void ParallelFor(ThreadPool* pool, int threads, int64_t lo, int64_t hi, const F& chunk) {
+  int64_t ext = hi - lo;
+  if (ext <= 1 || threads <= 1) {
+    chunk(lo, hi);
+    return;
+  }
+  int nchunks = static_cast<int>(std::min<int64_t>(ext, threads));
+  std::vector<std::future<void>> futures;
+  futures.reserve(static_cast<size_t>(nchunks));
+  for (int c = 0; c < nchunks; ++c) {
+    int64_t begin = lo + ext * c / nchunks;
+    int64_t end = lo + ext * (c + 1) / nchunks;
+    futures.push_back(pool->SubmitNested([&chunk, begin, end] { chunk(begin, end); }));
+  }
+  std::exception_ptr err;
+  for (std::future<void>& f : futures) {
+    while (f.wait_for(std::chrono::seconds(0)) == std::future_status::timeout) {
+      if (!pool->TryRunOne()) {
+        f.wait();  // queue drained: the block is running on another thread
+      }
+    }
+    try {
+      f.get();
+    } catch (...) {
+      if (!err) {
+        err = std::current_exception();
+      }
+    }
+  }
+  if (err) {
+    std::rethrow_exception(err);
+  }
+}
 
 }  // namespace tvmcpp
 

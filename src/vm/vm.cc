@@ -1,10 +1,14 @@
 #include "src/vm/vm.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
@@ -13,8 +17,6 @@
 #include <unordered_set>
 #include <utility>
 #include <vector>
-
-#include <atomic>
 
 #include "src/ir/functor.h"
 #include "src/ir/intrin_table.h"
@@ -185,6 +187,7 @@ class Compiler {
     for (const BufferArg& arg : func.args) {
       int32_t slot = NewBufferSlot(arg.dtype);
       buf_of_[arg.var.get()] = slot;
+      arg_bufs_.insert(arg.var.get());
       prog_.arg_kind.push_back(static_cast<uint8_t>(ElemKindOf(arg.dtype)));
     }
     CompileStmt(body);
@@ -1251,89 +1254,6 @@ class Compiler {
     top_ = smark;
   }
 
-  static bool UsesAnyVar(const Expr& e, const std::unordered_set<const VarNode*>& vars) {
-    bool uses = false;
-    PostOrderVisit(e, [&](const Expr& x) {
-      uses |= x->kind == ExprKind::kVar &&
-              vars.count(static_cast<const VarNode*>(x.get())) > 0;
-    });
-    return uses;
-  }
-
-  // True when chunking `body` across workers could race: it writes a buffer allocated
-  // *outside* the loop (workers would share that single scratch storage), or it writes
-  // an argument buffer at an index that does not depend on the parallel loop variable
-  // (e.g. a reduction axis marked parallel — every chunk would read-modify-write the
-  // same elements). `dep` is the loop var plus let-vars derived from it. Hazardous
-  // loops execute serially on the VM, matching the interpreter. Stores to body-local
-  // allocations (which workers privatize, unbound at this pre-scan) stay parallel.
-  bool ParallelHazard(const Stmt& s, std::unordered_set<const VarNode*>* dep) {
-    if (s == nullptr) {
-      return false;
-    }
-    switch (s->kind) {
-      case StmtKind::kLetStmt: {
-        const auto* n = static_cast<const LetStmtNode*>(s.get());
-        if (UsesAnyVar(n->value, *dep)) {
-          dep->insert(n->var.get());
-        }
-        return ParallelHazard(n->body, dep);
-      }
-      case StmtKind::kAttrStmt:
-        return ParallelHazard(static_cast<const AttrStmtNode*>(s.get())->body, dep);
-      case StmtKind::kAssert:
-        return ParallelHazard(static_cast<const AssertStmtNode*>(s.get())->body, dep);
-      case StmtKind::kAllocate:
-        return ParallelHazard(static_cast<const AllocateNode*>(s.get())->body, dep);
-      case StmtKind::kFor:
-        return ParallelHazard(static_cast<const ForNode*>(s.get())->body, dep);
-      case StmtKind::kIfThenElse: {
-        const auto* n = static_cast<const IfThenElseNode*>(s.get());
-        return ParallelHazard(n->then_case, dep) || ParallelHazard(n->else_case, dep);
-      }
-      case StmtKind::kSeq: {
-        bool hazard = false;
-        for (const Stmt& st : static_cast<const SeqStmtNode*>(s.get())->seq) {
-          hazard |= ParallelHazard(st, dep);
-        }
-        return hazard;
-      }
-      case StmtKind::kStore: {
-        const auto* n = static_cast<const StoreNode*>(s.get());
-        auto it = buf_of_.find(n->buffer_var.get());
-        if (it == buf_of_.end()) {
-          return false;  // body-local allocation: worker-private
-        }
-        if (it->second >= prog_.num_args) {
-          return true;  // outer scratch allocation shared by all workers
-        }
-        return !UsesAnyVar(n->index, *dep);
-      }
-      case StmtKind::kEvaluate: {
-        const Expr& v = static_cast<const EvaluateNode*>(s.get())->value;
-        if (v->kind != ExprKind::kCall) {
-          return false;
-        }
-        const auto* call = static_cast<const CallNode*>(v.get());
-        // Tensor intrinsics write their first buffer (handle, base, strides...).
-        if (call->args.size() < 2 || call->args[0]->kind != ExprKind::kVar ||
-            call->name == kSyncIntrin || call->name == kPushDepIntrin ||
-            call->name == kPopDepIntrin) {
-          return false;
-        }
-        auto it = buf_of_.find(static_cast<const VarNode*>(call->args[0].get()));
-        if (it == buf_of_.end()) {
-          return false;
-        }
-        if (it->second >= prog_.num_args) {
-          return true;
-        }
-        return !UsesAnyVar(call->args[1], *dep);  // output base must track the loop var
-      }
-    }
-    return false;
-  }
-
   void CompileFor(const ForNode* n) {
     int32_t mark = top_;
     bool fm = false, fe = false;
@@ -1342,9 +1262,8 @@ class Compiler {
     int32_t rbound = AllocReg();
     Emit({Op::kAddI, 0, 0, rbound, rmin, rext, 0});
     int32_t loop_reg = AllocReg();
-    std::unordered_set<const VarNode*> dep{n->loop_var.get()};
     bool parallel = n->for_type == ForType::kParallel && !in_parallel_ &&
-                    !ParallelHazard(n->body, &dep);
+                    !ParallelHazard(n, arg_bufs_);
     BindVar bind(this, n->loop_var.get(), VarBinding{loop_reg, false});
     if (parallel) {
       // The loop body becomes a detached instruction range: the kParFor handler runs it
@@ -1858,6 +1777,7 @@ class Compiler {
   LoopSpecializeOptions spec_;
   std::unordered_map<const VarNode*, VarBinding> var_of_;
   std::unordered_map<const VarNode*, int32_t> buf_of_;
+  std::unordered_set<const VarNode*> arg_bufs_;
   std::vector<ElemKind> buf_kind_;  // per slot
   std::unordered_map<uint64_t, int32_t> int_const_ids_;
   std::unordered_map<uint64_t, int32_t> float_const_ids_;
@@ -1977,11 +1897,29 @@ int DefaultNumThreads() {
   return n;
 }
 
-// Shared worker pool for kParallel loops. Sized at least 4 so chunked execution is
-// exercised (and deterministic) even on small machines.
+// Shared worker pool for kParallel loops run without an explicit ExecOptions::pool.
+// Sized at least 4 so chunked execution is exercised (and deterministic) even on
+// small machines. The pool belongs to the process that built it: a forked child
+// inherits the object but none of its threads (and possibly its mutex mid-hold), so
+// a call from another pid builds a fresh pool and deliberately leaks the inherited
+// one. Lock-free, so a fork taken while another thread is in here cannot leave the
+// child a held lock.
 ThreadPool* WorkerPool() {
-  static ThreadPool pool(std::max(DefaultNumThreads(), 4));
-  return &pool;
+  struct OwnedPool {
+    pid_t owner = ::getpid();
+    ThreadPool pool{std::max(DefaultNumThreads(), 4)};
+  };
+  static std::atomic<OwnedPool*> current{nullptr};
+  OwnedPool* seen = current.load(std::memory_order_acquire);
+  if (seen != nullptr && seen->owner == ::getpid()) {
+    return &seen->pool;
+  }
+  auto* fresh = new OwnedPool();
+  if (current.compare_exchange_strong(seen, fresh, std::memory_order_acq_rel)) {
+    return &fresh->pool;
+  }
+  delete fresh;  // another thread of this process installed its pool first
+  return &seen->pool;
 }
 
 void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
@@ -2062,62 +2000,20 @@ void ExecParFor(const Program& p, ExecState& st, const ParForDesc& d,
                 const ExecOptions& opt) {
   int64_t lo = st.regs[static_cast<size_t>(d.min_reg)].i;
   int64_t hi = st.regs[static_cast<size_t>(d.bound_reg)].i;
-  int64_t ext = hi - lo;
-  int threads = ResolveThreads(opt);
-  if (ext <= 1 || threads <= 1) {
-    for (int64_t v = lo; v < hi; ++v) {
-      st.regs[static_cast<size_t>(d.loop_reg)].i = v;
-      RunRange(p, st, d.body_begin, d.body_end, opt);
+  ParallelFor(opt, lo, hi, [&p, &st, &d, &opt](int64_t begin, int64_t end) {
+    // Each chunk clones the register file and buffer table: loop-invariant values
+    // and outer buffers are shared read-only, while registers written in the body
+    // and buffers allocated in the body stay private to the chunk.
+    ExecState local;
+    local.regs = st.regs;
+    local.vregs = st.vregs;
+    local.bufs = st.bufs;
+    local.owned.resize(st.owned.size());
+    for (int64_t v = begin; v < end; ++v) {
+      local.regs[static_cast<size_t>(d.loop_reg)].i = v;
+      RunRange(p, local, d.body_begin, d.body_end, opt);
     }
-    return;
-  }
-  ThreadPool* pool = opt.pool != nullptr ? opt.pool : WorkerPool();
-  // Deterministic chunking: one contiguous block per chunk. Iterations of a kParallel
-  // loop are independent by construction, so results are bitwise identical for any
-  // chunk count; only the assignment of iterations to workers changes.
-  int nchunks = static_cast<int>(std::min<int64_t>(ext, threads));
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<size_t>(nchunks));
-  for (int c = 0; c < nchunks; ++c) {
-    int64_t begin = lo + ext * c / nchunks;
-    int64_t chunk_end = lo + ext * (c + 1) / nchunks;
-    futures.push_back(pool->SubmitNested([&p, &st, &d, &opt, begin, chunk_end] {
-      // Workers clone the register file and buffer table: loop-invariant values and
-      // outer buffers are shared read-only, while registers written in the body and
-      // buffers allocated in the body stay private to the worker.
-      ExecState local;
-      local.regs = st.regs;
-      local.vregs = st.vregs;
-      local.bufs = st.bufs;
-      local.owned.resize(st.owned.size());
-      for (int64_t v = begin; v < chunk_end; ++v) {
-        local.regs[static_cast<size_t>(d.loop_reg)].i = v;
-        RunRange(p, local, d.body_begin, d.body_end, opt);
-      }
-    }));
-  }
-  std::exception_ptr err;
-  for (std::future<void>& f : futures) {
-    // Help-while-wait: drain pending chunk (nested) jobs instead of idling, so a
-    // pool worker that reached this point (a serving request job fanning out its own
-    // chunks) keeps chunks progressing and can never deadlock on a full pool.
-    // General jobs (whole requests) are never stolen here.
-    while (f.wait_for(std::chrono::seconds(0)) == std::future_status::timeout) {
-      if (!pool->TryRunOne()) {
-        f.wait();  // queue drained: the chunk is running on another thread
-      }
-    }
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) {
-        err = std::current_exception();
-      }
-    }
-  }
-  if (err) {
-    std::rethrow_exception(err);
-  }
+  });
 }
 
 void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
@@ -2452,6 +2348,16 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
 }
 
 }  // namespace
+
+void ParallelFor(const ExecOptions& options, int64_t lo, int64_t hi,
+                 const std::function<void(int64_t, int64_t)>& chunk) {
+  int threads = ResolveThreads(options);
+  ThreadPool* pool = options.pool;
+  if (pool == nullptr && threads > 1 && hi - lo > 1) {
+    pool = WorkerPool();
+  }
+  tvmcpp::ParallelFor(pool, threads, lo, hi, chunk);
+}
 
 // ---------------------------------------------------------------------------
 // Public API

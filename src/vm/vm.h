@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,7 +70,8 @@ struct ExecOptions {
   // attempt after VM execution faults. Honored by graph::CompiledGraph::Run;
   // vm::Run itself ignores it (callers pick the engine before dispatching).
   bool force_interp = false;
-  // Worker pool for kParallel chunks. nullptr = the lazily-created process-wide pool.
+  // Worker pool for kParallel chunks. nullptr = the process-wide pool, created lazily
+  // once per process (a forked child gets its own).
   // The serving scheduler (src/serve) passes its own pool here so request-level jobs
   // and intra-kernel chunks multiplex over the same threads; a thread that waits on
   // chunk futures helps drain the pool (ThreadPool::TryRunOne), so submitting from a
@@ -86,6 +88,13 @@ struct ExecOptions {
 // Executes a compiled program with `args` bound positionally to the function arguments.
 void Run(const Program& program, const std::vector<BufferBinding>& args,
          const ExecOptions& options = {});
+
+// Runs chunk(begin, end) over [lo, hi) with the deterministic contiguous chunking of
+// kParallel loops (tvmcpp::ParallelFor, src/runtime/threadpool.h) at `options`'
+// thread count, on `options.pool` or the process-wide pool. Shared by the VM's
+// kParFor and the native tier's parallel launcher (src/codegen/native.h).
+void ParallelFor(const ExecOptions& options, int64_t lo, int64_t hi,
+                 const std::function<void(int64_t, int64_t)>& chunk);
 
 // Compile-with-cache + execute, used by the RunLowered dispatcher. Programs are cached
 // per function body so repeated runs skip compilation. Returns false when the function

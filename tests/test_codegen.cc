@@ -6,13 +6,17 @@
 // registry falls back to the disk artifact, and a corrupt disk entry recompiles in
 // place instead of crashing.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/codegen/codegen.h"
@@ -25,6 +29,7 @@
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
+#include "src/runtime/threadpool.h"
 #include "src/schedule/schedule.h"
 #include "src/support/float16.h"
 #include "src/support/random.h"
@@ -134,14 +139,15 @@ std::vector<ArgBuf> MakeArgs(const std::vector<Tensor>& tensors, uint64_t seed) 
 }
 
 // Three-way differential: interpreter (oracle), VM, and the AOT native kernel —
-// all bitwise identical on every buffer.
+// all bitwise identical on every buffer. `spec` configures the VM's loop
+// specialization; the native tier never specializes.
 void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& args,
-                              const LoopSpecializeOptions& spec =
-                                  LoopSpecializeOptions{}) {
+                              const LoopSpecializeOptions& spec = LoopSpecializeOptions{},
+                              const vm::ExecOptions& native_exec = {}) {
   ScopedStrictMode strict;
   std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(f, spec);
   ASSERT_NE(prog, nullptr) << "VM failed to compile " << f.name;
-  codegen::NativeKernel native = codegen::CompileNativeKernel(f, spec);
+  codegen::NativeKernel native = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(native))
       << "native tier failed to compile " << f.name << ":\n" << ToString(f.body);
   std::vector<ArgBuf> interp_bufs = args;
@@ -157,7 +163,7 @@ void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& a
   vm::ExecOptions serial;
   serial.num_threads = 1;
   vm::Run(*prog, vm_bind, serial);
-  codegen::RunNativeKernel(native, native_bind);
+  codegen::RunNativeKernel(native, native_bind, native_exec);
   for (size_t i = 0; i < args.size(); ++i) {
     EXPECT_EQ(std::memcmp(interp_bufs[i].bytes.data(), vm_bufs[i].bytes.data(),
                           interp_bufs[i].bytes.size()),
@@ -171,12 +177,13 @@ void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& a
 }
 
 LoweredFunc BuildDense(DataType dtype, int vectorize, int parallel,
-                       std::vector<Tensor>* tensors, const std::string& name) {
+                       std::vector<Tensor>* tensors, const std::string& name,
+                       int n = 5, int k = 32, int oc = 24) {
   topi::OpWorkload wl;
   wl.kind = "dense";
-  wl.n = 5;
-  wl.k = 32;
-  wl.oc = 24;
+  wl.n = n;
+  wl.k = k;
+  wl.oc = oc;
   wl.dtype = dtype;
   topi::BuiltOp built = topi::BuildOpCompute(wl);
   Target cpu = Target::ArmA53();
@@ -189,13 +196,14 @@ LoweredFunc BuildDense(DataType dtype, int vectorize, int parallel,
 }
 
 LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors,
-                             const std::string& name) {
+                             const std::string& name, int parallel = 0, int ic = 4,
+                             int hw = 10, int oc = 8) {
   topi::OpWorkload wl;
   wl.kind = "conv2d";
   wl.n = 1;
-  wl.ic = 4;
-  wl.h = wl.w = 10;
-  wl.oc = 8;
+  wl.ic = ic;
+  wl.h = wl.w = hw;
+  wl.oc = oc;
   wl.k = 3;
   wl.stride = 1;
   wl.pad = 1;
@@ -208,7 +216,7 @@ LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors,
   Tensor out = topi::Relu(conv);
   Target cpu = Target::ArmA53();
   topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
-  config["parallel"] = 0;
+  config["parallel"] = parallel;
   Schedule s = topi::ScheduleFusedGroup(cpu, {out}, conv, config, &wl);
   *tensors = {data, kern, out};
   return Lower(s, {data, kern, out}, name);
@@ -231,10 +239,12 @@ TEST(CodegenDiff, DenseF32Vectorized) {
 }
 
 TEST(CodegenDiff, DenseF32Parallel) {
-  // kParallel loops run serially in the emitted C (same order as the interpreter);
-  // the VM comparison runs with num_threads=1 so all three tiers share one order.
+  // This dense is far below the native size rule (2^16 static work), so its
+  // kParallel loop stays inline in the emitted C and runs serially; the
+  // CodegenParallel cases below take the outlined, pool-chunked path.
   std::vector<Tensor> t;
   LoweredFunc f = BuildDense(DataType::Float32(), 0, 1, &t, "cg_dense_f32_par");
+  EXPECT_EQ(codegen::EmitC(f).code.find("tn_parallel("), std::string::npos);
   ExpectThreeTierIdentical(f, MakeArgs(t, 13));
 }
 
@@ -294,8 +304,8 @@ TEST(CodegenDiff, VectorizedPredicatedTail) {
 }
 
 TEST(CodegenDiff, UnspecializedPipelineMatchesToo) {
-  // The emitter runs the same preprocessing pipeline as the VM, including when
-  // specialization is disabled — both configurations must stay on the oracle.
+  // The VM with specialization disabled and the native tier (which never
+  // specializes) must both stay on the oracle.
   std::vector<Tensor> t;
   LoweredFunc f = BuildConvRelu3x3(DataType::Float32(), &t, "cg_conv_nospec");
   ExpectThreeTierIdentical(f, MakeArgs(t, 41), LoopSpecializeOptions::Disabled());
@@ -320,8 +330,7 @@ TEST(CodegenDiff, VmUnsupportedVectorLetRunsNative) {
   ASSERT_EQ(vm::CompileToProgram(f), nullptr) << "VM grew vector-let support; "
                                                  "pick another VM-unsupported construct";
 
-  codegen::NativeKernel native =
-      codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  codegen::NativeKernel native = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(native)) << "native tier must emit vector lets";
   std::vector<ArgBuf> interp_bufs = {ArgBuf::Make(n, DataType::Float32(), 43),
                                      ArgBuf::Make(n, DataType::Float32(), 44)};
@@ -453,6 +462,202 @@ TEST(CodegenGraph, DenseChainNativeRebatched) {
 }
 
 // ---------------------------------------------------------------------------
+// Parallel path: outlined kParallel loops chunked on the caller's pool
+// ---------------------------------------------------------------------------
+
+bool HasOutlinedLoop(const LoweredFunc& f) {
+  codegen::CSource src = codegen::EmitC(f);
+  EXPECT_TRUE(src.ok) << src.error;
+  return src.code.find("tn_parallel(") != std::string::npos &&
+         src.code.find("static void " + src.symbol + "_p0(") != std::string::npos;
+}
+
+// Native at 4 threads on an explicit pool against the interpreter and the 1-thread
+// VM, bitwise.
+void ExpectParallelNativeIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& args) {
+  ThreadPool pool(4);
+  vm::ExecOptions four;
+  four.num_threads = 4;
+  four.pool = &pool;
+  ExpectThreeTierIdentical(f, args, LoopSpecializeOptions{}, four);
+}
+
+TEST(CodegenParallel, DenseAboveSizeRuleRunsOnPool) {
+  std::vector<Tensor> t;
+  LoweredFunc f =
+      BuildDense(DataType::Float32(), 1, 1, &t, "cg_par_dense", 16, 256, 64);
+  EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
+  ExpectParallelNativeIdentical(f, MakeArgs(t, 73));
+}
+
+TEST(CodegenParallel, ConvAboveSizeRuleRunsOnPool) {
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildConvRelu3x3(DataType::Float32(), &t, "cg_par_conv", 1, 16, 16, 16);
+  EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
+  ExpectParallelNativeIdentical(f, MakeArgs(t, 79));
+}
+
+TEST(CodegenParallel, HazardousLoopsStayInline) {
+  // Two kParallel loops well above the size rule that must not chunk: one writes
+  // C[0] from every iteration (a reduction axis marked parallel), the other writes
+  // a scratch allocation made outside the loop. Both stay inline in the emitted C,
+  // run serially on every tier, and stay bitwise equal.
+  const int n = 256;
+  Var a = make_var("A", DataType::Handle());
+  Var c = make_var("C", DataType::Handle());
+  Var i = make_var("i", DataType::Int32());
+  Var j = make_var("j", DataType::Int32());
+  Expr elem = load(DataType::Float32(), a, Expr(i) * make_int(n) + Expr(j));
+  LoweredFunc reduce;
+  reduce.name = "cg_par_hazard_reduce";
+  reduce.args = {BufferArg{a, DataType::Float32(), {n * n}, "A"},
+                 BufferArg{c, DataType::Float32(), {n}, "C"}};
+  reduce.body = for_stmt(
+      i, make_int(0), make_int(n),
+      for_stmt(j, make_int(0), make_int(n),
+               store(c, load(DataType::Float32(), c, make_int(0)) + elem, make_int(0))),
+      ForType::kParallel);
+
+  Var tmp = make_var("T", DataType::Handle());
+  Var j2 = make_var("j2", DataType::Int32());
+  LoweredFunc scratch;
+  scratch.name = "cg_par_hazard_scratch";
+  scratch.args = reduce.args;
+  scratch.body = allocate(
+      tmp, DataType::Float32(), {make_int(n)}, "global",
+      for_stmt(i, make_int(0), make_int(n),
+               seq({for_stmt(j, make_int(0), make_int(n),
+                             store(tmp, elem * make_float(2.0), Expr(j))),
+                    for_stmt(j2, make_int(0), make_int(n),
+                             store(c,
+                                   load(DataType::Float32(), c, Expr(i)) +
+                                       load(DataType::Float32(), tmp,
+                                            make_int(n - 1) - Expr(j2)),
+                                   Expr(i)))}),
+               ForType::kParallel));
+
+  for (const LoweredFunc* f : {&reduce, &scratch}) {
+    EXPECT_FALSE(HasOutlinedLoop(*f)) << f->name;
+    ExpectParallelNativeIdentical(*f, {ArgBuf::Make(n * n, DataType::Float32(), 83),
+                                       ArgBuf::Make(n, DataType::Float32(), 89)});
+  }
+}
+
+TEST(CodegenParallel, ConvChainGraphOnPoolMatchesVm) {
+  // A small conv chain sized above the size rule: the native tier at 4 threads on
+  // an explicit pool equals the 1-thread VM bitwise.
+  ScopedStrictMode strict;
+  graph::Graph g;
+  int data = g.AddInput("data", {1, 16, 16, 16});
+  int w1 = g.AddConst("w1", {16, 16, 3, 3});
+  int w2 = g.AddConst("w2", {16, 16, 3, 3});
+  int c1 = g.AddOp("conv2d", "conv1", {data, w1}, {{"stride", 1}, {"pad", 1}});
+  int r1 = g.AddOp("relu", "relu1", {c1});
+  int c2 = g.AddOp("conv2d", "conv2", {r1, w2}, {{"stride", 1}, {"pad", 1}});
+  g.outputs = {g.AddOp("relu", "relu2", {c2})};
+  std::shared_ptr<graph::CompiledGraph> model;
+  {
+    ScopedEngine native(ExecEngine::kNative);
+    model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53(),
+                                                   graph::CompileOptions{});
+  }
+  model->SetParam("w1", NDArray::Random({16, 16, 3, 3}, DataType::Float32(), 97));
+  model->SetParam("w2", NDArray::Random({16, 16, 3, 3}, DataType::Float32(), 101));
+  NDArray input = NDArray::Random({1, 16, 16, 16}, DataType::Float32(), 103);
+  vm::ResetFallbackCount();
+  ThreadPool pool(4);
+  vm::ExecOptions four;
+  four.num_threads = 4;
+  four.pool = &pool;
+  auto run = [&](const vm::ExecOptions& exec) {
+    graph::RunContext ctx(model);
+    ctx.SetInput("data", input);
+    model->Run(&ctx, exec);
+    return ctx.GetOutput(0).Copy();
+  };
+  NDArray native_out;
+  {
+    ScopedEngine native(ExecEngine::kNative);
+    native_out = run(four);
+  }
+  vm::ExecOptions serial;
+  serial.num_threads = 1;
+  NDArray vm_out;
+  {
+    ScopedEngine vm_engine(ExecEngine::kVm);
+    vm_out = run(serial);
+  }
+  ExpectBitwiseEqual(native_out, vm_out, "conv chain native@4 vs VM@1");
+  EXPECT_EQ(vm::FallbackCount(), 0);
+}
+
+TEST(CodegenParallel, ForkedChildRunsParallelKernels) {
+  // A forked child inherits the process-wide worker pool object but none of its
+  // threads, and forking while the pool is busy can leave the child its mutex or
+  // condition variable mid-use. Keep that pool busy from a second thread, fork
+  // repeatedly, and run a chunked kParallel kernel in each child on the VM and on
+  // the native tier (both on the default pool at 4 threads): the child must build
+  // its own pool instead of hanging on the inherited one.
+  std::vector<Tensor> t;
+  LoweredFunc f =
+      BuildDense(DataType::Float32(), 0, 1, &t, "cg_par_fork", 16, 256, 64);
+  ASSERT_TRUE(HasOutlinedLoop(f));
+  std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(f);
+  ASSERT_NE(prog, nullptr);
+  ASSERT_TRUE(vm::ProgramHasParallel(*prog));
+  codegen::NativeKernel native = codegen::CompileNativeKernel(f);
+  ASSERT_TRUE(static_cast<bool>(native));
+  auto bind = [](std::vector<ArgBuf>* bufs) {
+    std::vector<BufferBinding> b;
+    for (ArgBuf& buf : *bufs) {
+      b.push_back(buf.Bind());
+    }
+    return b;
+  };
+  const std::vector<ArgBuf> inputs = MakeArgs(t, 107);
+  std::vector<ArgBuf> expect = inputs;
+  vm::ExecOptions four;  // default pool
+  four.num_threads = 4;
+  vm::Run(*prog, bind(&expect), four);
+
+  std::vector<ArgBuf> busy_bufs = inputs;
+  std::atomic<bool> stop{false};
+  std::thread busy([&] {
+    std::vector<BufferBinding> b = bind(&busy_bufs);
+    while (!stop.load()) {
+      vm::Run(*prog, b, four);
+    }
+  });
+  const size_t out = inputs.size() - 1;
+  for (int round = 0; round < 16; ++round) {
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      alarm(10);  // a hang fails the test instead of stalling it
+      std::vector<ArgBuf> vm_bufs = inputs;
+      std::vector<ArgBuf> native_bufs = inputs;
+      vm::Run(*prog, bind(&vm_bufs), four);
+      codegen::RunNativeKernel(native, bind(&native_bufs), four);
+      bool same = std::memcmp(expect[out].bytes.data(), vm_bufs[out].bytes.data(),
+                              expect[out].bytes.size()) == 0 &&
+                  std::memcmp(expect[out].bytes.data(), native_bufs[out].bytes.data(),
+                              expect[out].bytes.size()) == 0;
+      _exit(same ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      ADD_FAILURE() << "round " << round << ": child "
+                    << (WIFEXITED(status) ? "output differs from the parent's"
+                                          : "hung or crashed");
+      break;
+    }
+  }
+  stop.store(true);
+  busy.join();
+}
+
+// ---------------------------------------------------------------------------
 // Module cache behavior
 // ---------------------------------------------------------------------------
 
@@ -461,16 +666,14 @@ TEST(CodegenCache, SecondCompileHitsMemoryThenDisk) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cache_dense");
   codegen::ResetNativeStats();
-  codegen::NativeKernel first =
-      codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  codegen::NativeKernel first = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(first));
   codegen::NativeStats s1 = codegen::GetNativeStats();
   EXPECT_EQ(s1.compiles, 1);
   EXPECT_EQ(s1.mem_hits, 0);
 
   // Identical source: the in-process registry answers, no compiler run.
-  codegen::NativeKernel second =
-      codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  codegen::NativeKernel second = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(second));
   codegen::NativeStats s2 = codegen::GetNativeStats();
   EXPECT_EQ(s2.compiles, 1);
@@ -479,8 +682,7 @@ TEST(CodegenCache, SecondCompileHitsMemoryThenDisk) {
 
   // Registry dropped: the on-disk artifact answers, still no compiler run.
   codegen::ClearNativeModuleRegistryForTesting();
-  codegen::NativeKernel third =
-      codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  codegen::NativeKernel third = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(third));
   codegen::NativeStats s3 = codegen::GetNativeStats();
   EXPECT_EQ(s3.compiles, 1);
@@ -513,8 +715,7 @@ TEST(CodegenCache, CorruptDiskEntryRecompilesNotCrashes) {
   std::vector<ArgBuf> a = MakeArgs(t, 61);
   std::string so_path;
   {
-    codegen::NativeKernel first =
-        codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+    codegen::NativeKernel first = codegen::CompileNativeKernel(f);
     ASSERT_TRUE(static_cast<bool>(first));
     so_path = first.module->path();
     ASSERT_NE(so_path.find(cache.dir), std::string::npos)
@@ -536,8 +737,7 @@ TEST(CodegenCache, CorruptDiskEntryRecompilesNotCrashes) {
     corrupt.close();
     ASSERT_EQ(std::rename(tmp.c_str(), so_path.c_str()), 0);
   }
-  codegen::NativeKernel again =
-      codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+  codegen::NativeKernel again = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(again)) << "corrupt cache entry must recompile";
   codegen::NativeStats s = codegen::GetNativeStats();
   EXPECT_EQ(s.compiles, 2) << "recompile must actually run the compiler";
@@ -561,8 +761,7 @@ TEST(CodegenCache, BatchedKernelsShareOneModule) {
   LoweredFunc f1 = BuildDense(DataType::Float32(), 0, 0, &t1, "cg_batch_a");
   LoweredFunc f2 = BuildDense(DataType::Float16(), 0, 0, &t2, "cg_batch_b");
   codegen::ResetNativeStats();
-  std::vector<codegen::NativeKernel> kernels = codegen::CompileNativeKernels(
-      {&f1, &f2}, LoopSpecializeOptions{});
+  std::vector<codegen::NativeKernel> kernels = codegen::CompileNativeKernels({&f1, &f2});
   ASSERT_EQ(kernels.size(), 2u);
   ASSERT_TRUE(static_cast<bool>(kernels[0]));
   ASSERT_TRUE(static_cast<bool>(kernels[1]));
@@ -624,14 +823,15 @@ TEST(CodegenFallback, CompilerFailureFallsDownTierCounted) {
 TEST(CodegenUnit, SymbolsAreContentAddressedAndStable) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_sym");
-  codegen::CSource a = codegen::EmitC(f, LoopSpecializeOptions{});
-  codegen::CSource b = codegen::EmitC(f, LoopSpecializeOptions{});
+  codegen::CSource a = codegen::EmitC(f);
+  codegen::CSource b = codegen::EmitC(f);
   ASSERT_TRUE(a.ok) << a.error;
   EXPECT_EQ(a.symbol, b.symbol) << "same TIR must hash to the same symbol";
   EXPECT_EQ(a.code, b.code);
   EXPECT_EQ(a.symbol.rfind("tn_", 0), 0u);
-  // Different specialization config changes the preprocessed TIR and the symbol.
-  codegen::CSource c = codegen::EmitC(f, LoopSpecializeOptions::Disabled());
+  // A different TIR body under the same name changes the symbol.
+  LoweredFunc g = BuildDense(DataType::Float32(), 1, 0, &t, "cg_sym");
+  codegen::CSource c = codegen::EmitC(g);
   ASSERT_TRUE(c.ok);
   EXPECT_NE(a.symbol, c.symbol);
 }
@@ -645,7 +845,7 @@ TEST(CodegenUnit, UnsupportedConstructReportsNotOk) {
   f.args = {BufferArg{c, DataType::Float32(), {4}, "C"}};
   f.body = store(c, call_pure(DataType::Float32(), "mystery_op", {make_float(1.0)}),
                  make_int(0));
-  codegen::CSource src = codegen::EmitC(f, LoopSpecializeOptions{});
+  codegen::CSource src = codegen::EmitC(f);
   EXPECT_FALSE(src.ok);
   EXPECT_FALSE(src.error.empty());
 }

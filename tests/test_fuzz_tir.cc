@@ -389,7 +389,7 @@ bool CaseAgrees(const CaseSpec& spec, const LoweredFunc& f,
   }
   codegen::NativeKernel native = precompiled;
   if (!native) {
-    native = codegen::CompileNativeKernel(f, LoopSpecializeOptions{});
+    native = codegen::CompileNativeKernel(f);
   }
   if (!native) {
     *why = "native tier rejected the program";
@@ -540,7 +540,7 @@ TEST(FuzzTir, ThreeTierBitwiseDifferential) {
   }
   codegen::ResetNativeStats();
   std::vector<codegen::NativeKernel> kernels =
-      codegen::CompileNativeKernels(func_ptrs, LoopSpecializeOptions{});
+      codegen::CompileNativeKernels(func_ptrs);
   ASSERT_EQ(kernels.size(), funcs.size());
   codegen::NativeStats stats = codegen::GetNativeStats();
   EXPECT_EQ(stats.emit_failures, 0)

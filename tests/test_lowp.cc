@@ -46,7 +46,7 @@ void ExpectThreeTierIdentical(const LoweredFunc& f,
   vm::ResetFallbackCount();
   std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(f, {});
   ASSERT_NE(prog, nullptr) << "VM failed to compile " << f.name;
-  codegen::NativeKernel native = codegen::CompileNativeKernel(f, {});
+  codegen::NativeKernel native = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(native))
       << "native tier failed to compile " << f.name << ":\n" << ToString(f.body);
   NDArray out_interp = NDArray::Empty(out_shape, out_dtype);
