@@ -125,8 +125,8 @@ void CompiledGraph::Compile() {
         // Config precedence, lowest to highest: untuned default < inherited
         // (Rebatched's base-model choices) < persistent tuning cache < explicit
         // `tuned`. Every source instantiates the same template with different
-        // knob values — CPU templates never split reduction axes, so the choice
-        // changes performance, never results.
+        // knob values — CPU templates never split reduction axes or reorder them
+        // among themselves, so the choice changes performance, never results.
         config = topi::DefaultConfig(space);
         bool from_cache = false;
         if (options_.inherited != nullptr) {

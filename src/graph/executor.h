@@ -116,8 +116,9 @@ class CompiledGraph {
   // same target/options, sharing this model's parameter NDArrays (weights are
   // batch-invariant). Used by the serving layer's dynamic batching to run N coalesced
   // requests as one kernel invocation; the per-request FP operation order is
-  // unchanged (CPU schedules never split reduction axes per batch), so per-slice
-  // results stay bitwise-identical to batch-1 runs.
+  // unchanged (CPU schedules never split reduction axes or reorder them among
+  // themselves, whatever the batch), so per-slice results stay bitwise-identical
+  // to batch-1 runs.
   std::shared_ptr<CompiledGraph> Rebatched(int factor) const;
 
   // Sum of per-kernel machine-model costs: the end-to-end latency estimate.

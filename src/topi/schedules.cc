@@ -380,6 +380,11 @@ void ScheduleDenseGpu(const Schedule& s, const Tensor& out, const Tensor& master
 // CPU templates
 // ---------------------------------------------------------------------------
 
+// The pad stage is computed once at root, so the MAC reads the padded buffer
+// unguarded. The reduction axes (rc, ry, rx, in that order, never split) enclose
+// the oc x ow output tile: each operand load then feeds a row of accumulators
+// that stay in the tile instead of one accumulator reloaded per MAC. Every output
+// element still sums its terms in the same order as the unscheduled compute.
 void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
                      const Config& cfg, bool depthwise) {
   int64_t toc = At(cfg, "tile_oc", 4);
@@ -390,33 +395,44 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
 
   Tensor pad = FindPadInput(master);
   if (pad.defined()) {
-    (*s)[pad]->compute_inline();
+    (*s)[pad]->compute_root();
   }
   Stage so = (*s)[out];
   CHECK_GE(so->leaf_iter_vars.size(), 4u)
       << "conv template requires a 4-D NCHW output stage";
-  IterVar oc = so->leaf_iter_vars[1];
-  IterVar ow = so->leaf_iter_vars[3];
+  // n, oc, oh, ow, then [rc,] ry, rx when `out` is the conv itself.
+  std::vector<IterVar> axes = so->leaf_iter_vars;
   IterVar oco, oci, owo, owi;
-  so->split(oc, toc, &oco, &oci);
-  so->split(ow, tow, &owo, &owi);
-  // n, oco, oh, owo, oci, owi (+ reduce axes on the master).
-  so->reorder({so->leaf_iter_vars[0], oco, so->leaf_iter_vars[3], owo, oci, owi});
+  so->split(axes[1], toc, &oco, &oci);
+  so->split(axes[3], tow, &owo, &owi);
   if (par) {
     so->parallel(oco);
   }
   if (vec) {
     so->vectorize(owi);
   }
+  // `outer`, then the reduction axes of `leaves` (from index 4 on), then `tile`.
+  auto reduction_above = [](std::vector<IterVar> outer, const std::vector<IterVar>& leaves,
+                            const std::vector<IterVar>& tile) {
+    outer.insert(outer.end(), leaves.begin() + 4, leaves.end());
+    outer.insert(outer.end(), tile.begin(), tile.end());
+    return outer;
+  };
   if (out != master) {
+    // The master computes one oc x ow tile at owo: n, oh, [rc,] ry, rx, oc, ow.
+    so->reorder({axes[0], oco, axes[2], owo, oci, owi});
     Stage sm = (*s)[master];
     sm->compute_at(so, owo);
+    std::vector<IterVar> m = sm->leaf_iter_vars;
+    sm->reorder(reduction_above({m[0], m[2]}, m, {m[1], m[3]}));
     if (unroll && !depthwise) {
-      sm->unroll(sm->leaf_iter_vars.back());
+      sm->unroll(m.back());  // rx
     }
   } else {
+    // n, oco, oh, owo, [rc,] ry, rx, oci, owi.
+    so->reorder(reduction_above({axes[0], oco, axes[2], owo}, axes, {oci, owi}));
     if (unroll) {
-      so->unroll(so->leaf_iter_vars.back());  // rx
+      so->unroll(axes.back());  // rx
     }
   }
 }
@@ -483,7 +499,11 @@ void ScheduleDenseCpu(const Schedule& s, const Tensor& out, const Tensor& master
   so->split(x, tx, &xo, &xi);
   so->reorder({yo, xo, yi, xi});
   if (par) {
-    so->parallel(yo);
+    // Rows that fit in one tile leave yo with extent 1 (batch-1 inference):
+    // spread the output columns instead.
+    int64_t rows;
+    bool one_row_tile = is_const_int(y->dom.extent(), &rows) && rows <= ty;
+    so->parallel(one_row_tile ? xo : yo);
   }
   if (vec) {
     so->vectorize(xi);

@@ -263,11 +263,13 @@ TEST(Batching, MixedModelQueueCoalescesOnlySameModel) {
   }
   for (int i = 0; i < kPerModel; ++i) {
     serve::InferenceResponse resp_a = fut_a[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp_a.status.ok()) << resp_a.status.message;
     ExpectBitwiseEqual(resp_a.outputs[0],
                        SequentialRun(DataType::Float32(), 11,
                                      inputs_a[static_cast<size_t>(i)]),
                        "model A request " + std::to_string(i));
     serve::InferenceResponse resp_b = fut_b[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp_b.status.ok()) << resp_b.status.message;
     ExpectBitwiseEqual(resp_b.outputs[0],
                        SequentialRun(DataType::Float16(), 23,
                                      inputs_b[static_cast<size_t>(i)]),
@@ -318,6 +320,7 @@ TEST(Batching, FrontendBuilderPathMultiInputModel) {
   }
   for (int i = 0; i < kRequests; ++i) {
     serve::InferenceResponse resp = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.message;
     EXPECT_EQ(resp.batch_size, kRequests);
     // Oracle: the same request run alone on the batch-1 model.
     graph::RunContext ctx(base);

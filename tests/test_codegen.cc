@@ -31,6 +31,7 @@
 #include "src/runtime/target.h"
 #include "src/runtime/threadpool.h"
 #include "src/schedule/schedule.h"
+#include "src/support/failpoint.h"
 #include "src/support/float16.h"
 #include "src/support/random.h"
 #include "src/topi/nn.h"
@@ -138,12 +139,19 @@ std::vector<ArgBuf> MakeArgs(const std::vector<Tensor>& tensors, uint64_t seed) 
   return args;
 }
 
+vm::ExecOptions SerialExec() {
+  vm::ExecOptions serial;
+  serial.num_threads = 1;
+  return serial;
+}
+
 // Three-way differential: interpreter (oracle), VM, and the AOT native kernel —
 // all bitwise identical on every buffer. `spec` configures the VM's loop
 // specialization; the native tier never specializes.
 void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& args,
                               const LoopSpecializeOptions& spec = LoopSpecializeOptions{},
-                              const vm::ExecOptions& native_exec = {}) {
+                              const vm::ExecOptions& native_exec = {},
+                              const vm::ExecOptions& vm_exec = SerialExec()) {
   ScopedStrictMode strict;
   std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(f, spec);
   ASSERT_NE(prog, nullptr) << "VM failed to compile " << f.name;
@@ -160,9 +168,7 @@ void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& a
     native_bind.push_back(native_bufs[i].Bind());
   }
   RunLoweredInterp(f, interp_bind);
-  vm::ExecOptions serial;
-  serial.num_threads = 1;
-  vm::Run(*prog, vm_bind, serial);
+  vm::Run(*prog, vm_bind, vm_exec);
   codegen::RunNativeKernel(native, native_bind, native_exec);
   for (size_t i = 0; i < args.size(); ++i) {
     EXPECT_EQ(std::memcmp(interp_bufs[i].bytes.data(), vm_bufs[i].bytes.data(),
@@ -174,6 +180,17 @@ void ExpectThreeTierIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& a
               0)
         << f.name << ": buffer " << i << " differs between interp and native";
   }
+}
+
+// Interpreter, VM and native bitwise equal with the VM and native both at 1 thread
+// and both at 4 threads on an explicit pool.
+void ExpectIdenticalAtOneAndFourThreads(const LoweredFunc& f, const std::vector<ArgBuf>& args) {
+  ExpectThreeTierIdentical(f, args, LoopSpecializeOptions{}, SerialExec(), SerialExec());
+  ThreadPool pool(4);
+  vm::ExecOptions four;
+  four.num_threads = 4;
+  four.pool = &pool;
+  ExpectThreeTierIdentical(f, args, LoopSpecializeOptions{}, four, four);
 }
 
 LoweredFunc BuildDense(DataType dtype, int vectorize, int parallel,
@@ -195,31 +212,31 @@ LoweredFunc BuildDense(DataType dtype, int vectorize, int parallel,
   return Lower(s, built.Args(), name);
 }
 
-LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors,
-                             const std::string& name, int parallel = 0, int ic = 4,
-                             int hw = 10, int oc = 8) {
-  topi::OpWorkload wl;
-  wl.kind = "conv2d";
-  wl.n = 1;
-  wl.ic = ic;
-  wl.h = wl.w = hw;
-  wl.oc = oc;
-  wl.k = 3;
-  wl.stride = 1;
-  wl.pad = 1;
-  wl.dtype = dtype;
-  Tensor data = placeholder(
-      {make_int(wl.n), make_int(wl.ic), make_int(wl.h), make_int(wl.w)}, dtype, "data");
-  Tensor kern = placeholder(
-      {make_int(wl.oc), make_int(wl.ic), make_int(wl.k), make_int(wl.k)}, dtype, "kern");
-  Tensor conv = topi::Conv2dNCHW(data, kern, wl.stride, wl.pad);
-  Tensor out = topi::Relu(conv);
+// One conv (or depthwise conv) through the CPU template: as the master of a
+// conv+relu group (`fused`, the epilogue branch) or on its own (output == master).
+LoweredFunc BuildConvCase(const topi::OpWorkload& wl, bool fused, std::vector<Tensor>* tensors,
+                          const std::string& name, int parallel = 1) {
+  topi::BuiltOp built = topi::BuildOpCompute(wl);
   Target cpu = Target::ArmA53();
   topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
   config["parallel"] = parallel;
-  Schedule s = topi::ScheduleFusedGroup(cpu, {out}, conv, config, &wl);
-  *tensors = {data, kern, out};
-  return Lower(s, {data, kern, out}, name);
+  Schedule s;
+  Tensor out = built.output;
+  if (fused) {
+    out = topi::Relu(built.output);
+    s = topi::ScheduleFusedGroup(cpu, {out}, built.output, config, &wl);
+  } else {
+    s = topi::ApplyOpSchedule(wl, cpu, built, config);
+  }
+  *tensors = {built.inputs[0], built.inputs[1], out};
+  return Lower(s, *tensors, name);
+}
+
+LoweredFunc BuildConvRelu3x3(DataType dtype, std::vector<Tensor>* tensors,
+                             const std::string& name) {
+  topi::OpWorkload wl{"conv2d", 1, 10, 10, 4, 8, 3, 1, 1};
+  wl.dtype = dtype;
+  return BuildConvCase(wl, /*fused=*/true, tensors, name, /*parallel=*/0);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,6 +295,28 @@ TEST(CodegenDiff, ConvRelu3x3I8) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildConvRelu3x3(DataType::Int8(), &t, "cg_conv_i8");
   ExpectThreeTierIdentical(f, MakeArgs(t, 31));
+}
+
+TEST(CodegenDiff, ConvTemplateShapesBothBranches) {
+  // The CPU conv template (root pad stage, reduction above the oc x ow tile) over
+  // ResNet-style shapes, in both branches and both float widths.
+  const topi::OpWorkload shapes[] = {
+      {"conv2d", 1, 8, 8, 4, 8, 3, 1, 1},  {"conv2d", 1, 9, 9, 4, 8, 3, 2, 1},
+      {"conv2d", 1, 12, 12, 3, 8, 7, 2, 3}, {"conv2d", 1, 8, 8, 8, 16, 1, 2, 0},
+      {"depthwise_conv2d", 1, 8, 8, 8, 8, 3, 1, 1}};
+  uint64_t seed = 37;
+  for (topi::OpWorkload wl : shapes) {
+    for (DataType dtype : {DataType::Float32(), DataType::Float16()}) {
+      wl.dtype = dtype;
+      for (bool fused : {false, true}) {
+        const std::string name = "cg_conv_tpl_" + wl.Key() + (fused ? "_fused" : "");
+        SCOPED_TRACE(name);
+        std::vector<Tensor> t;
+        LoweredFunc f = BuildConvCase(wl, fused, &t, name);
+        ExpectIdenticalAtOneAndFourThreads(f, MakeArgs(t, seed++));
+      }
+    }
+  }
 }
 
 TEST(CodegenDiff, VectorizedPredicatedTail) {
@@ -472,29 +511,29 @@ bool HasOutlinedLoop(const LoweredFunc& f) {
          src.code.find("static void " + src.symbol + "_p0(") != std::string::npos;
 }
 
-// Native at 4 threads on an explicit pool against the interpreter and the 1-thread
-// VM, bitwise.
-void ExpectParallelNativeIdentical(const LoweredFunc& f, const std::vector<ArgBuf>& args) {
-  ThreadPool pool(4);
-  vm::ExecOptions four;
-  four.num_threads = 4;
-  four.pool = &pool;
-  ExpectThreeTierIdentical(f, args, LoopSpecializeOptions{}, four);
-}
-
 TEST(CodegenParallel, DenseAboveSizeRuleRunsOnPool) {
+  // 16 rows chunk the row blocks; a single row (batch-1 inference, so the
+  // row-block loop has extent 1) chunks the output-column blocks.
   std::vector<Tensor> t;
   LoweredFunc f =
       BuildDense(DataType::Float32(), 1, 1, &t, "cg_par_dense", 16, 256, 64);
   EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
-  ExpectParallelNativeIdentical(f, MakeArgs(t, 73));
+  ExpectIdenticalAtOneAndFourThreads(f, MakeArgs(t, 73));
+  f = BuildDense(DataType::Float32(), 1, 1, &t, "cg_par_dense_b1", 1, 512, 256);
+  EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
+  ExpectIdenticalAtOneAndFourThreads(f, MakeArgs(t, 109));
 }
 
 TEST(CodegenParallel, ConvAboveSizeRuleRunsOnPool) {
-  std::vector<Tensor> t;
-  LoweredFunc f = BuildConvRelu3x3(DataType::Float32(), &t, "cg_par_conv", 1, 16, 16, 16);
-  EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
-  ExpectParallelNativeIdentical(f, MakeArgs(t, 79));
+  // Both conv template branches: the output-channel block loop outlines next to
+  // the serial root pad stage.
+  topi::OpWorkload wl{"conv2d", 1, 16, 16, 16, 16, 3, 1, 1};
+  for (bool fused : {false, true}) {
+    std::vector<Tensor> t;
+    LoweredFunc f = BuildConvCase(wl, fused, &t, fused ? "cg_par_conv" : "cg_par_conv_alone");
+    EXPECT_TRUE(HasOutlinedLoop(f)) << ToString(f.body);
+    ExpectIdenticalAtOneAndFourThreads(f, MakeArgs(t, 79));
+  }
 }
 
 TEST(CodegenParallel, HazardousLoopsStayInline) {
@@ -538,7 +577,7 @@ TEST(CodegenParallel, HazardousLoopsStayInline) {
 
   for (const LoweredFunc* f : {&reduce, &scratch}) {
     EXPECT_FALSE(HasOutlinedLoop(*f)) << f->name;
-    ExpectParallelNativeIdentical(*f, {ArgBuf::Make(n * n, DataType::Float32(), 83),
+    ExpectIdenticalAtOneAndFourThreads(*f, {ArgBuf::Make(n * n, DataType::Float32(), 83),
                                        ArgBuf::Make(n, DataType::Float32(), 89)});
   }
 }
@@ -625,7 +664,12 @@ TEST(CodegenParallel, ForkedChildRunsParallelKernels) {
   std::thread busy([&] {
     std::vector<BufferBinding> b = bind(&busy_bufs);
     while (!stop.load()) {
-      vm::Run(*prog, b, four);
+      try {
+        vm::Run(*prog, b, four);
+      } catch (const failpoint::InjectedFault&) {
+        // An injected vm.run fault only cuts one busy run short; escaping this
+        // thread would terminate the process.
+      }
     }
   });
   const size_t out = inputs.size() - 1;

@@ -164,6 +164,7 @@ TEST(Serve, TwoModelsInterleaved) {
   }
   for (int i = 0; i < kRequests; ++i) {
     serve::InferenceResponse resp = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.message;
     ExpectBitwiseEqual(resp.outputs[0], expected[static_cast<size_t>(i)],
                        "interleaved request " + std::to_string(i));
   }
@@ -194,6 +195,7 @@ void RunShutdownWithInflight(serve::ServerOptions opts) {
                            .count();
   for (int i = 0; i < kRequests; ++i) {
     serve::InferenceResponse resp = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.message;
     ExpectBitwiseEqual(resp.outputs[0],
                        SequentialRun(kWeightSeed, inputs[static_cast<size_t>(i)]),
                        "inflight request " + std::to_string(i));
@@ -330,6 +332,7 @@ TEST(Serve, BackpressureTinyQueue) {
   }
   for (int id = 0; id < kThreads * kPerThread; ++id) {
     serve::InferenceResponse resp = futures[static_cast<size_t>(id)].get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.message;
     ExpectBitwiseEqual(
         resp.outputs[0],
         SequentialRun(kWeightSeed, ChainInput(static_cast<uint64_t>(200 + id))),

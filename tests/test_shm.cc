@@ -357,6 +357,13 @@ TEST(ShmServeTest, BatchedRequestsCopiedIntoBoundSlabs) {
   transport.RegisterModel("chain", MakeChainModel());
   const std::string arena_name = transport.arena()->name();
 
+  // Oracle outputs come from the test thread: an injected vm.run fault in
+  // SequentialRun then fails this test instead of escaping a client thread.
+  std::vector<NDArray> expected;
+  for (uint64_t seed = 40; seed < 44; ++seed) {
+    expected.push_back(SequentialRun(ChainInput(seed)));
+  }
+
   // Rounds of 4 simultaneous clients until a batch actually coalesces (the
   // linger makes that near-certain in round one; retry absorbs scheduler
   // noise on loaded CI hosts).
@@ -378,7 +385,7 @@ TEST(ShmServeTest, BatchedRequestsCopiedIntoBoundSlabs) {
         serve::Status s = client->Call("chain", {{"data", in}}, &outs,
                                        ShmClient::CallOptions(), &meta);
         ASSERT_TRUE(s.ok()) << s.message;
-        NDArray expect = SequentialRun(ChainInput(seed));
+        const NDArray& expect = expected[static_cast<size_t>(t)];
         EXPECT_EQ(std::memcmp(outs[0].Data<char>(), expect.Data<char>(),
                               static_cast<size_t>(expect.ByteSize())),
                   0)

@@ -3,7 +3,9 @@
 // a program with identical semantics (parameterized sweep).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/interp/interp.h"
@@ -11,6 +13,7 @@
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
+#include "src/topi/nn.h"
 #include "src/topi/schedules.h"
 
 namespace tvmcpp {
@@ -79,11 +82,20 @@ std::vector<float> RefDepthwise(const std::vector<float>& data,
   return out;
 }
 
+// With `fused_relu`, the op is scheduled as the master of a conv+relu group (the
+// template's epilogue branch) instead of on its own.
 void RunWorkload(const OpWorkload& wl, const Target& target, const Config& config,
-                 double tol = 2e-2) {
+                 double tol = 2e-2, bool fused_relu = false) {
   BuiltOp built = BuildOpCompute(wl);
-  Schedule s = ApplyOpSchedule(wl, target, built, config);
-  LoweredFunc f = Lower(s, built.Args(), wl.Key());
+  Schedule s;
+  Tensor result = built.output;
+  if (fused_relu) {
+    result = Relu(built.output);
+    s = ScheduleFusedGroup(target, {result}, built.output, config, &wl);
+  } else {
+    s = ApplyOpSchedule(wl, target, built, config);
+  }
+  LoweredFunc f = Lower(s, {built.inputs[0], built.inputs[1], result}, wl.Key());
 
   std::vector<int64_t> dshape = built.inputs[0].shape().size() == 2
                                     ? std::vector<int64_t>{wl.n, wl.k}
@@ -119,6 +131,11 @@ void RunWorkload(const OpWorkload& wl, const Target& target, const Config& confi
         }
         ref[static_cast<size_t>(y * wl.oc + x)] = acc;
       }
+    }
+  }
+  if (fused_relu) {
+    for (float& v : ref) {
+      v = std::max(v, 0.0f);
     }
   }
   const float* got = out.Data<float>();
@@ -161,6 +178,76 @@ TEST(Topi, DenseCpuGpu) {
   OpWorkload wl{"dense", 16, 1, 1, 1, 24, 32, 1, 0};
   RunWorkload(wl, Target::ArmA53(), DefaultConfig(GetScheduleSpace(wl, Target::ArmA53())));
   RunWorkload(wl, Target::TitanX(), DefaultConfig(GetScheduleSpace(wl, Target::TitanX())));
+}
+
+TEST(Topi, ConvCpuShapesBothBranches) {
+  // The CPU template on its own (output == master) and as a conv+relu master, over
+  // ResNet-18's kernel/stride/pad shapes and a depthwise 3x3.
+  Target t = Target::ArmA53();
+  for (const OpWorkload& wl : {OpWorkload{"conv2d", 1, 8, 8, 4, 8, 3, 1, 1},
+                               OpWorkload{"conv2d", 1, 9, 9, 4, 8, 3, 2, 1},
+                               OpWorkload{"conv2d", 1, 12, 12, 3, 8, 7, 2, 3},
+                               OpWorkload{"conv2d", 1, 8, 8, 8, 16, 1, 2, 0},
+                               OpWorkload{"depthwise_conv2d", 1, 8, 8, 8, 8, 3, 1, 1}}) {
+    for (bool fused : {false, true}) {
+      SCOPED_TRACE(wl.Key() + (fused ? " fused" : " unfused"));
+      RunWorkload(wl, t, DefaultConfig(GetScheduleSpace(wl, t)), 2e-2, fused);
+    }
+  }
+}
+
+std::vector<std::string> LeafNames(const Stage& st) {
+  std::vector<std::string> names;
+  for (const IterVar& iv : st->leaf_iter_vars) {
+    names.push_back(iv->var->name);
+  }
+  return names;
+}
+
+TEST(Topi, ConvCpuTemplateRootPadAndReductionAboveTile) {
+  // The pad is its own root stage, and the reduction axes (in their compute order,
+  // never split) sit above the oc x ow output tile in both template branches.
+  OpWorkload wl{"conv2d", 1, 8, 8, 4, 8, 3, 1, 1};
+  Target t = Target::ArmA53();
+  Config config = DefaultConfig(GetScheduleSpace(wl, t));
+  BuiltOp built = BuildOpCompute(wl);
+  Tensor pad = built.output.op()->InputTensors()[0];
+  ASSERT_EQ(pad.name(), "conv2d.pad");
+
+  Tensor out = Relu(built.output);
+  Schedule fused = ScheduleFusedGroup(t, {out}, built.output, config, &wl);
+  EXPECT_EQ(fused->GetStage(pad.op())->attach_type, AttachType::kRoot);
+  EXPECT_EQ(LeafNames(fused->GetStage(built.output.op())),
+            (std::vector<std::string>{"conv2d.i0", "conv2d.i2", "conv2d.rc", "conv2d.ry",
+                                      "conv2d.rx", "conv2d.i1", "conv2d.i3"}));
+
+  Schedule alone = ApplyOpSchedule(wl, t, built, config);
+  EXPECT_EQ(alone->GetStage(pad.op())->attach_type, AttachType::kRoot);
+  EXPECT_EQ(LeafNames(alone->GetStage(built.output.op())),
+            (std::vector<std::string>{"conv2d.i0", "conv2d.i1.o", "conv2d.i2", "conv2d.i3.o",
+                                      "conv2d.rc", "conv2d.ry", "conv2d.rx", "conv2d.i1.i",
+                                      "conv2d.i3.i"}));
+}
+
+TEST(Topi, DenseCpuParallelAxisFollowsRowExtent) {
+  // Rows that fit one tile_y (batch-1 inference) parallelize the output-column
+  // blocks; a taller batch keeps the row blocks parallel.
+  Target t = Target::ArmA53();
+  for (int rows : {1, 16}) {
+    OpWorkload wl{"dense", rows, 1, 1, 1, 64, 32, 1, 0};
+    Config config = DefaultConfig(GetScheduleSpace(wl, t));
+    ASSERT_LT(config.at("tile_y"), 16);
+    BuiltOp built = BuildOpCompute(wl);
+    Schedule s = ApplyOpSchedule(wl, t, built, config);
+    Stage st = s->GetStage(built.output.op());
+    auto for_type = [&](size_t i) {
+      const IterVarAttr* attr = st->GetAttr(st->leaf_iter_vars[i]);
+      return attr == nullptr ? ForType::kSerial : attr->for_type;
+    };
+    EXPECT_EQ(for_type(0), rows == 1 ? ForType::kSerial : ForType::kParallel) << rows;
+    EXPECT_EQ(for_type(1), rows == 1 ? ForType::kParallel : ForType::kSerial) << rows;
+    RunWorkload(wl, t, config);
+  }
 }
 
 // Property sweep: every config in the space must be semantics-preserving.
