@@ -10,7 +10,7 @@
 //     row, exercising the CompileOptions::specialize inheritance path.
 //
 // Both variants run the same bytecode engine; only LoopSpecializeOptions differ
-// (Disabled() vs FromEnv()). Rows land in BENCH_vm.json next to the vm_speedup
+// (Disabled() vs the default-constructed options). Rows land in BENCH_vm.json next to the vm_speedup
 // trajectory (the upsert-by-name sink keeps one line per bench across re-runs).
 #include <cstdio>
 #include <cstdlib>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <future>
 #include <limits>
 #include <set>
@@ -23,32 +22,20 @@ namespace autotune {
 
 namespace {
 
-int EnvIntOr(const char* name, int fallback, int min_value) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') {
-    return fallback;
-  }
-  return std::max(min_value, std::atoi(s));
+// Only CPU-target programs execute natively on this host; GPU/accelerator codegen
+// runs serialized (SerializeThreadBlocks), so wall-clock there would rank configs
+// by an irrelevant machine. Those targets keep the sim model.
+MeasureOptions DefaultMeasure(const Target& target) {
+  MeasureOptions m;
+  m.use_sim = target.kind != TargetKind::kCpu;
+  return m;
 }
 
 }  // namespace
 
-MeasureOptions MeasureOptions::FromEnv(const Target& target) {
-  MeasureOptions m;
-  const char* sim = std::getenv("TVMCPP_TUNE_SIM");
-  bool force_sim = sim != nullptr && std::string(sim) == "1";
-  // Only CPU-target programs execute natively on this host; GPU/accelerator
-  // codegen runs serialized (SerializeThreadBlocks), so wall-clock there would
-  // rank configs by an irrelevant machine. Those targets keep the sim model.
-  m.use_sim = force_sim || target.kind != TargetKind::kCpu;
-  m.warmup = EnvIntOr("TVMCPP_TUNE_WARMUP", m.warmup, 0);
-  m.repeats = EnvIntOr("TVMCPP_TUNE_REPEATS", m.repeats, 1);
-  return m;
-}
-
 TuningTask::TuningTask(topi::OpWorkload wl, Target target, uint64_t seed,
                        double noise_level)
-    : TuningTask(wl, target, MeasureOptions::FromEnv(target), seed, noise_level) {}
+    : TuningTask(wl, target, DefaultMeasure(target), seed, noise_level) {}
 
 TuningTask::TuningTask(topi::OpWorkload wl, Target target, MeasureOptions measure,
                        uint64_t seed, double noise_level)

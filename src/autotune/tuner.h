@@ -11,8 +11,9 @@
 // the config's schedule is lowered, compiled to bytecode with the task's
 // loop-specialization options, and timed wall-clock (warmup + min-of-k repeats,
 // deterministic inputs). GPU/accelerator targets, whose codegen only executes
-// serialized on this host, keep the src/sim machine-model cost; TVMCPP_TUNE_SIM=1
-// forces the model everywhere (the fast deterministic CI path).
+// serialized on this host, keep the src/sim machine-model cost; a caller passing
+// MeasureOptions with use_sim = true forces the model everywhere (the fast
+// deterministic path).
 #ifndef SRC_AUTOTUNE_TUNER_H_
 #define SRC_AUTOTUNE_TUNER_H_
 
@@ -40,21 +41,18 @@ struct MeasureOptions {
   // Cost configs on the src/sim machine model (plus deterministic noise standing
   // in for measurement variance) instead of timing real vm::Program runs.
   bool use_sim = true;
-  int warmup = 1;   // real mode: untimed runs before timing (TVMCPP_TUNE_WARMUP)
-  int repeats = 3;  // real mode: timed runs, minimum taken (TVMCPP_TUNE_REPEATS)
+  int warmup = 1;   // real mode: untimed runs before timing
+  int repeats = 3;  // real mode: timed runs, minimum taken
   // Specialization config the measured programs are compiled with. Part of the
   // tuning-cache key: a config tuned with unrolling on may lose without it.
-  LoopSpecializeOptions specialize = LoopSpecializeOptions::FromEnv();
-
-  // Real measurement for CPU targets unless TVMCPP_TUNE_SIM=1; sim for GPU /
-  // accelerator targets always. Also reads the warmup/repeat knobs.
-  static MeasureOptions FromEnv(const Target& target);
+  LoopSpecializeOptions specialize;
 };
 
 // A single-operator tuning task: workload + target + schedule space + measurer.
 class TuningTask {
  public:
-  // Measurement mode per MeasureOptions::FromEnv(target).
+  // Default MeasureOptions, with use_sim = false for CPU targets (real
+  // measurement) and true for GPU / accelerator targets.
   TuningTask(topi::OpWorkload wl, Target target, uint64_t seed = 7,
              double noise_level = 0.05);
   TuningTask(topi::OpWorkload wl, Target target, MeasureOptions measure,

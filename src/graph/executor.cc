@@ -60,9 +60,6 @@ topi::OpWorkload CompiledGraph::WorkloadOf(const Node& master) const {
 }
 
 void CompiledGraph::Compile() {
-  if (options_.enable_layout) {
-    AlterLayout(&graph_, target_);
-  }
   groups_ = FuseOps(graph_, options_.enable_fusion);
   plan_ = PlanMemory(graph_, groups_);
 
@@ -250,10 +247,7 @@ std::shared_ptr<CompiledGraph> CompiledGraph::Rebatched(int factor) const {
       inherited[batched_wl.Key()] = it->second;
     }
   }
-  // graph_ is the post-AlterLayout graph when enable_layout was on, so the variant
-  // must not run the layout pass a second time.
   CompileOptions options = options_;
-  options.enable_layout = false;
   options.tuned = nullptr;  // explicit configs were keyed for this batch, not N
   options.inherited = &inherited;
   auto batched = std::make_shared<CompiledGraph>(RebatchGraph(graph_, factor),

@@ -35,7 +35,6 @@ using TunedConfigs = std::unordered_map<std::string, topi::Config>;
 struct CompileOptions {
   bool enable_fusion = true;       // graph-level operator fusion (Section 3)
   bool enable_fold = true;         // constant folding
-  bool enable_layout = false;      // layout transformation (CPU)
   // Explicit per-workload configs; wins over every other config source.
   const TunedConfigs* tuned = nullptr;
   // Consult the process-wide persistent tuning cache (autotune::GlobalTuningCache,
@@ -52,8 +51,8 @@ struct CompileOptions {
   // VM loop-specialization config used when compiling each fused kernel's bytecode
   // program. Carried by value so Rebatched() variants inherit the base model's
   // setting — batched rows get the same unroll/hoist treatment (notably the hoisted
-  // batch-offset adds) without re-reading the environment at batch-compile time.
-  LoopSpecializeOptions specialize = LoopSpecializeOptions::FromEnv();
+  // batch-offset adds).
+  LoopSpecializeOptions specialize;
 };
 
 class CompiledGraph;

@@ -559,30 +559,5 @@ MemoryPlan PlanMemory(const Graph& g, const std::vector<FusedGroup>& groups) {
   return plan;
 }
 
-// ---------------------------------------------------------------------------
-// Layout transformation (simplified NCHW -> NCHW[c] blocking marker)
-// ---------------------------------------------------------------------------
-
-int AlterLayout(Graph* g, const Target& target, int block_c) {
-  if (target.kind != TargetKind::kCpu) {
-    return 0;
-  }
-  int transformed = 0;
-  for (int id = 0; id < g->num_nodes(); ++id) {
-    Node& node = g->node(id);
-    if (node.op != "conv2d") {
-      continue;
-    }
-    const Node& data = g->node(node.inputs[0]);
-    if (data.shape[1] % block_c != 0 || node.shape[1] % block_c != 0) {
-      continue;
-    }
-    // Mark the node as blocked; schedules read this to vectorize over the c-block.
-    node.attrs["layout_blocked_c"] = block_c;
-    ++transformed;
-  }
-  return transformed;
-}
-
 }  // namespace graph
 }  // namespace tvmcpp

@@ -109,11 +109,6 @@ struct MemoryPlan {
 };
 MemoryPlan PlanMemory(const Graph& g, const std::vector<FusedGroup>& groups);
 
-// Data layout transformation (Section 3): converts conv2d nodes to a blocked
-// NCHW[c] layout when beneficial for the target, inserting layout_transform nodes.
-// Returns the number of transforms inserted.
-int AlterLayout(Graph* g, const Target& target, int block_c = 4);
-
 // Rebuilds `g` with every `input` node's leading (batch) dimension scaled by
 // `factor`, re-running shape inference so all downstream op shapes pick up the new
 // batch extent; `const` nodes (weights) keep their shapes, and node ids/names/attrs

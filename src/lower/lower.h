@@ -57,7 +57,7 @@ Stmt UnrollLoops(const Stmt& s, int64_t max_extent = 16);
 // original; the flags only trade compile time for execution speed.
 struct LoopSpecializeOptions {
   // Fully unroll innermost serial/unrolled loops with constant extent <= this
-  // (TVMCPP_UNROLL_LIMIT; 0 disables unrolling).
+  // (0 disables unrolling).
   int64_t unroll_limit = 8;
   // Hoist loop-invariant integer subexpressions out of innermost loops.
   bool hoist_invariants = true;
@@ -66,9 +66,7 @@ struct LoopSpecializeOptions {
   // the peephole pass collapsing constant-operand arithmetic and dead register moves.
   bool strength_reduce = true;
   bool peephole = true;
-  // Reads TVMCPP_VM_SPECIALIZE (0 disables everything) and TVMCPP_UNROLL_LIMIT on
-  // every call, so tests can flip the knobs per case.
-  static LoopSpecializeOptions FromEnv();
+  // Every pass off: the unspecialized baseline for differential tests and benches.
   static LoopSpecializeOptions Disabled();
 };
 

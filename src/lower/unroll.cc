@@ -8,8 +8,8 @@
 //                         (moved here from passes.cc).
 //   * SpecializeLoops   — the engine-side pipeline (applied by the VM compiler):
 //       1. fully unrolls *innermost* serial/unrolled loops whose constant extent is
-//          <= LoopSpecializeOptions::unroll_limit (TVMCPP_UNROLL_LIMIT), constant-
-//          folding the resulting constant indices through Simplify;
+//          <= LoopSpecializeOptions::unroll_limit, constant-folding the
+//          resulting constant indices through Simplify;
 //       2. hoists subexpressions invariant in the innermost loop — pure integer
 //          index arithmetic such as the row offsets of a dense kernel or the
 //          batch-offset adds introduced by RebatchGraph — into LetStmt bindings
@@ -23,7 +23,6 @@
 // produced exactly as before. tests/test_specialize.cc enforces this differentially
 // under TVMCPP_VM_STRICT=1.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -510,23 +509,6 @@ class InvariantHoister : public StmtMutator {
 Stmt UnrollLoops(const Stmt& s, int64_t max_extent) {
   Unroller u(max_extent);
   return u.MutateStmt(s);
-}
-
-LoopSpecializeOptions LoopSpecializeOptions::FromEnv() {
-  // Read fresh on every call (no static caching): tests flip the knobs per case.
-  LoopSpecializeOptions opts;
-  if (const char* s = std::getenv("TVMCPP_VM_SPECIALIZE")) {
-    if (std::string(s) == "0") {
-      return Disabled();
-    }
-  }
-  if (const char* s = std::getenv("TVMCPP_UNROLL_LIMIT")) {
-    opts.unroll_limit = std::atoll(s);
-    if (opts.unroll_limit < 0) {
-      opts.unroll_limit = 0;
-    }
-  }
-  return opts;
 }
 
 LoopSpecializeOptions LoopSpecializeOptions::Disabled() {

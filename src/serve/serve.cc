@@ -1,12 +1,12 @@
 #include "src/serve/serve.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "src/support/failpoint.h"
 #include "src/support/logging.h"
+#include "src/vm/vm.h"
 
 namespace tvmcpp {
 namespace serve {
@@ -26,75 +26,21 @@ Clock::duration MsDuration(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
-int EnvInt(const char* name) {
-  if (const char* s = std::getenv(name)) {
-    int v = std::atoi(s);
-    if (v > 0) {
-      return v;
-    }
+// Checks `o` and resolves num_workers = 0 to the host-derived pool size.
+ServerOptions Validated(ServerOptions o) {
+  CHECK_GE(o.num_workers, 0) << "ServerOptions::num_workers";
+  CHECK_GT(o.queue_capacity, 0) << "ServerOptions::queue_capacity";
+  CHECK_GE(o.max_batch, 1) << "ServerOptions::max_batch";
+  CHECK_GE(o.batch_timeout_ms, 0) << "ServerOptions::batch_timeout_ms";
+  CHECK_GE(o.default_deadline_ms, 0) << "ServerOptions::default_deadline_ms";
+  CHECK_GE(o.max_retries, 0) << "ServerOptions::max_retries";
+  CHECK_GE(o.retry_backoff_ms, 0) << "ServerOptions::retry_backoff_ms";
+  if (o.num_workers == 0) {
+    // At least 2 so request-level concurrency (and its tests) are exercised even on
+    // single-core machines.
+    o.num_workers = std::max(2, vm::DefaultNumThreads());
   }
-  return 0;
-}
-
-// For counts where 0 is a meaningful setting (e.g. max_retries).
-int EnvIntOr(const char* name, int fallback) {
-  if (const char* s = std::getenv(name)) {
-    int v = std::atoi(s);
-    if (v >= 0) {
-      return v;
-    }
-  }
-  return fallback;
-}
-
-double EnvDoubleOr(const char* name, double fallback) {
-  if (const char* s = std::getenv(name)) {
-    double v = std::atof(s);
-    if (v >= 0) {
-      return v;
-    }
-  }
-  return fallback;
-}
-
-bool EnvFlagOr(const char* name, bool fallback) {
-  if (const char* s = std::getenv(name)) {
-    return std::atoi(s) != 0;
-  }
-  return fallback;
-}
-
-int ResolveWorkers(int requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  if (int v = EnvInt("TVMCPP_SERVE_WORKERS")) {
-    return v;
-  }
-  if (int v = EnvInt("TVMCPP_NUM_THREADS")) {
-    return v;
-  }
-  unsigned hc = std::thread::hardware_concurrency();
-  // At least 2 so request-level concurrency (and its tests) are exercised even on
-  // single-core machines.
-  return std::max(2, hc > 0 ? static_cast<int>(hc) : 1);
-}
-
-int ResolveMaxBatch(int requested) {
-  if (requested > 0) {
-    return requested;  // 1 = batching explicitly disabled
-  }
-  if (int v = EnvInt("TVMCPP_SERVE_MAX_BATCH")) {
-    return v;
-  }
-  return 1;
-}
-
-double ResolveBatchTimeoutMs(double requested) {
-  if (requested >= 0) {
-    return requested;
-  }
-  return EnvDoubleOr("TVMCPP_SERVE_BATCH_TIMEOUT_MS", 0);
+  return o;
 }
 
 }  // namespace
@@ -133,40 +79,19 @@ void InferenceServer::Deliver(const Pending& p, InferenceResponse&& r) {
 }
 
 InferenceServer::InferenceServer(ServerOptions options)
-    : workers_(ResolveWorkers(options.num_workers)),
-      max_batch_(ResolveMaxBatch(options.max_batch)),
-      batch_timeout_ms_(ResolveBatchTimeoutMs(options.batch_timeout_ms)),
-      default_deadline_ms_(options.default_deadline_ms >= 0
-                               ? options.default_deadline_ms
-                               : EnvDoubleOr("TVMCPP_SERVE_DEADLINE_MS", 0)),
-      max_retries_(options.max_retries >= 0
-                       ? options.max_retries
-                       : EnvIntOr("TVMCPP_SERVE_MAX_RETRIES", 1)),
-      retry_backoff_ms_(options.retry_backoff_ms >= 0
-                            ? options.retry_backoff_ms
-                            : EnvDoubleOr("TVMCPP_SERVE_RETRY_BACKOFF_MS", 0.5)),
-      fallback_enabled_(options.enable_fallback >= 0
-                            ? options.enable_fallback != 0
-                            : EnvFlagOr("TVMCPP_SERVE_FALLBACK", true)),
-      shedding_enabled_(options.enable_shedding >= 0
-                            ? options.enable_shedding != 0
-                            : EnvFlagOr("TVMCPP_SERVE_SHED", true)),
-      adaptive_linger_(options.adaptive_linger >= 0
-                           ? options.adaptive_linger != 0
-                           : EnvFlagOr("TVMCPP_SERVE_ADAPTIVE_LINGER", false)),
+    : opts_(Validated(std::move(options))),
       // Pop order: higher priority class first, earlier deadline within a class,
       // FIFO (push sequence, supplied by the queue) as the final tiebreak — which
       // also makes deadline-less same-priority traffic behave exactly as before
       // this ordering existed.
-      queue_(static_cast<size_t>(options.queue_capacity > 0 ? options.queue_capacity
-                                                            : 64),
+      queue_(static_cast<size_t>(opts_.queue_capacity),
              [](const Pending& a, const Pending& b) {
                if (a.priority != b.priority) {
                  return a.priority > b.priority;
                }
                return a.deadline < b.deadline;
              }),
-      pool_(std::make_unique<ThreadPool>(workers_)) {}
+      pool_(std::make_unique<ThreadPool>(opts_.num_workers)) {}
 
 InferenceServer::~InferenceServer() {
   Shutdown();
@@ -199,7 +124,7 @@ std::future<InferenceResponse> InferenceServer::Submit(
   p.enqueued = now;
   p.priority = request.priority;
   const double deadline_ms =
-      request.deadline_ms < 0 ? default_deadline_ms_ : request.deadline_ms;
+      request.deadline_ms < 0 ? opts_.default_deadline_ms : request.deadline_ms;
   p.deadline = deadline_ms > 0 ? now + MsDuration(deadline_ms) : kNoDeadline;
   p.seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
   p.request = std::move(request);
@@ -230,7 +155,7 @@ std::future<InferenceResponse> InferenceServer::Submit(
   // before this one (higher class, or earlier deadline within the class) plus
   // requests already inside executions, each costing the EWMA service time,
   // spread over the worker count.
-  if (shedding_enabled_ && p.deadline != kNoDeadline && svc_ms > 0) {
+  if (opts_.enable_shedding && p.deadline != kNoDeadline && svc_ms > 0) {
     const Clock::time_point dl = p.deadline;
     const size_t ahead = queue_.CountIf([priority, dl](const Pending& q) {
       return q.priority > priority ||
@@ -239,7 +164,7 @@ std::future<InferenceResponse> InferenceServer::Submit(
     const double backlog =
         static_cast<double>(ahead) +
         static_cast<double>(active_requests_.load(std::memory_order_relaxed));
-    const double est_wait_ms = backlog * svc_ms / static_cast<double>(workers_);
+    const double est_wait_ms = backlog * svc_ms / static_cast<double>(opts_.num_workers);
     if (est_wait_ms > deadline_ms) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -346,16 +271,16 @@ std::vector<InferenceServer::Pending> InferenceServer::FormBatch(Pending head) {
   std::vector<Pending> batch;
   // Reserve up front: the coalescing predicate reads batch.front() while
   // DrainMatching appends, so the vector must never reallocate.
-  batch.reserve(static_cast<size_t>(max_batch_));
+  batch.reserve(static_cast<size_t>(opts_.max_batch));
   batch.push_back(std::move(head));
   const graph::CompiledGraph* model = batch.front().model.get();
   auto pred = [&](const Pending& p) {
     return p.model.get() == model &&
            ShapesCoalesce(batch.front().request.inputs, p.request.inputs);
   };
-  const size_t max = static_cast<size_t>(max_batch_);
+  const size_t max = static_cast<size_t>(opts_.max_batch);
 
-  double linger_ms = batch_timeout_ms_;
+  double linger_ms = opts_.batch_timeout_ms;
   double svc_ms = 0;
   double gap_ms = 0;
   {
@@ -363,7 +288,7 @@ std::vector<InferenceServer::Pending> InferenceServer::FormBatch(Pending head) {
     svc_ms = ewma_service_ms_;
     gap_ms = ewma_arrival_gap_ms_;
   }
-  if (adaptive_linger_ && gap_ms > 0) {
+  if (opts_.adaptive_linger && gap_ms > 0) {
     // No point lingering longer than the observed arrival rate needs to deliver
     // the missing batch slots; under light traffic this collapses the linger
     // toward zero instead of stalling a worker for the full timeout.
@@ -423,8 +348,8 @@ InferenceResponse InferenceServer::RunOneWithRetry(const Pending& p,
   // fallback is enabled) down-tiers to the reference interpreter, whose result is
   // bitwise-identical to the VM's by the differential guarantee, so a fallback
   // success is indistinguishable from a healthy run apart from the flag.
-  const int vm_attempts = 1 + std::max(0, max_retries_);
-  const int total_attempts = vm_attempts + (fallback_enabled_ ? 1 : 0);
+  const int vm_attempts = 1 + opts_.max_retries;
+  const int total_attempts = vm_attempts + (opts_.enable_fallback ? 1 : 0);
   for (int attempt = 0; attempt < total_attempts; ++attempt) {
     if (Clock::now() >= p.deadline) {
       resp.status = {StatusCode::kDeadlineExceeded,
@@ -483,9 +408,9 @@ InferenceResponse InferenceServer::RunOneWithRetry(const Pending& p,
       // faults and injected ones take the same recovery path.
       last_error = e.what();
     }
-    if (attempt + 1 < vm_attempts && retry_backoff_ms_ > 0) {
+    if (attempt + 1 < vm_attempts && opts_.retry_backoff_ms > 0) {
       const Clock::time_point wake =
-          Clock::now() + MsDuration(retry_backoff_ms_ *
+          Clock::now() + MsDuration(opts_.retry_backoff_ms *
                                     static_cast<double>(int64_t{1} << attempt));
       if (wake >= p.deadline) {
         // Backing off would spend the deadline: skip the remaining same-engine
@@ -512,7 +437,7 @@ void InferenceServer::ExecuteOne() {
   // request backlog until this execution finishes.
   active_requests_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Pending> batch;
-  if (max_batch_ > 1) {
+  if (opts_.max_batch > 1) {
     batch = FormBatch(std::move(head));
   } else {
     batch.push_back(std::move(head));  // batching disabled: the 1:1 legacy path
@@ -545,8 +470,8 @@ void InferenceServer::ExecuteOne() {
   vm::ExecOptions exec;
   exec.pool = pool_.get();
   const int backlog = static_cast<int>(queue_.size()) + active_requests;
-  const bool serial = backlog >= workers_;
-  exec.num_threads = serial ? 1 : std::max(1, workers_ - active + 1);
+  const bool serial = backlog >= opts_.num_workers;
+  exec.num_threads = serial ? 1 : std::max(1, opts_.num_workers - active + 1);
 
   std::vector<InferenceResponse> resps(live.size());
   bool ran_batched = false;

@@ -126,46 +126,41 @@ struct InferenceResponse {
 };
 
 struct ServerOptions {
-  // Worker threads in the shared pool. 0 = TVMCPP_SERVE_WORKERS env, else
-  // TVMCPP_NUM_THREADS env, else std::thread::hardware_concurrency() — floored at 2
-  // when defaulted, so request-level concurrency exists even on single-core hosts
-  // (an explicit num_workers is used verbatim).
+  // Worker threads in the shared pool. 0 = max(2, vm::DefaultNumThreads()), so
+  // request-level concurrency exists even on single-core hosts (an explicit
+  // num_workers is used verbatim).
   int num_workers = 0;
   // Bounded request-queue capacity; Submit blocks when this many requests are
   // pending (backpressure toward clients).
   int queue_capacity = 64;
   // Dynamic batching: largest number of same-model, shape-compatible requests one
   // kernel invocation may coalesce. 1 disables batching (the pre-batching 1:1
-  // request:run path, zero overhead); 0 = TVMCPP_SERVE_MAX_BATCH env, else 1.
-  int max_batch = 0;
+  // request:run path, zero overhead).
+  int max_batch = 1;
   // How long a worker holding a partial batch lingers for late arrivals before
   // flushing, in milliseconds. 0 coalesces only what is already queued (the right
-  // choice for closed-loop clients and the default); negative =
-  // TVMCPP_SERVE_BATCH_TIMEOUT_MS env, else 0. Ignored when max_batch == 1.
+  // choice for closed-loop clients). Ignored when max_batch == 1.
   // Trade-off: a lingering worker occupies a pool thread, so with few workers a
   // long linger delays queued requests of *other* models by up to the timeout.
-  double batch_timeout_ms = -1;
-  // --- SLA / fault-tolerance knobs (all env-resolvable; negative = use env) ----
-  // Default per-request deadline in ms; 0 = no deadline. Negative =
-  // TVMCPP_SERVE_DEADLINE_MS env, else 0.
-  double default_deadline_ms = -1;
+  double batch_timeout_ms = 0;
+  // --- SLA / fault-tolerance knobs -----------------------------------------------
+  // Default per-request deadline in ms; 0 = no deadline.
+  double default_deadline_ms = 0;
   // Extra VM execution attempts after the first fault, before the interpreter
-  // fallback is tried. Negative = TVMCPP_SERVE_MAX_RETRIES env, else 1.
-  int max_retries = -1;
+  // fallback is tried.
+  int max_retries = 1;
   // Base of the exponential retry backoff (attempt k sleeps base * 2^k ms, never
-  // past the deadline). Negative = TVMCPP_SERVE_RETRY_BACKOFF_MS env, else 0.5.
-  double retry_backoff_ms = -1;
+  // past the deadline).
+  double retry_backoff_ms = 0.5;
   // Down-tier to the reference interpreter after retries are exhausted (results
-  // stay bitwise-identical). 0/1; negative = TVMCPP_SERVE_FALLBACK env, else 1.
-  int enable_fallback = -1;
+  // stay bitwise-identical).
+  bool enable_fallback = true;
   // Shed doomed requests at admission when the EWMA-estimated queue wait already
-  // exceeds their deadline. 0/1; negative = TVMCPP_SERVE_SHED env, else 1 (inert
-  // anyway for requests without a deadline).
-  int enable_shedding = -1;
+  // exceeds their deadline (inert for requests without a deadline).
+  bool enable_shedding = true;
   // Shorten the batching linger when the observed arrival rate says the batch
-  // cannot fill within it (EWMA of arrival gaps). 0/1; negative =
-  // TVMCPP_SERVE_ADAPTIVE_LINGER env, else 0.
-  int adaptive_linger = -1;
+  // cannot fill within it (EWMA of arrival gaps).
+  bool adaptive_linger = false;
 };
 
 struct ServerStats {
@@ -232,8 +227,8 @@ class InferenceServer {
   void SetBatchBuilder(const std::shared_ptr<const graph::CompiledGraph>& model,
                        BatchedModelCache::Builder builder);
 
-  int num_workers() const { return workers_; }
-  int max_batch() const { return max_batch_; }
+  int num_workers() const { return opts_.num_workers; }
+  int max_batch() const { return opts_.max_batch; }
   // One consistent snapshot: every field (totals and per_class) is read under the
   // single stats mutex that writers also hold, so cross-field invariants
   // (completed == sum of per-class completed, batches == full + timeout, ...)
@@ -255,7 +250,7 @@ class InferenceServer {
 
   void ExecuteOne();
   // Coalesces queued requests compatible with `head` (same model, ShapesCoalesce)
-  // up to max_batch_, lingering up to batch_timeout_ms_ for late arrivals (less
+  // up to max_batch, lingering up to batch_timeout_ms for late arrivals (less
   // when adaptive linger or the head's deadline says the wait is pointless).
   std::vector<Pending> FormBatch(Pending head);
   // One request through the full retry ladder: VM attempts with exponential
@@ -268,15 +263,8 @@ class InferenceServer {
   std::shared_ptr<BatchedModelCache> CacheFor(
       const std::shared_ptr<const graph::CompiledGraph>& m);
 
-  int workers_ = 0;
-  int max_batch_ = 1;
-  double batch_timeout_ms_ = 0;
-  double default_deadline_ms_ = 0;
-  int max_retries_ = 1;
-  double retry_backoff_ms_ = 0.5;
-  bool fallback_enabled_ = true;
-  bool shedding_enabled_ = true;
-  bool adaptive_linger_ = false;
+  // The options as given, with num_workers resolved to the pool size.
+  const ServerOptions opts_;
   BoundedQueue<Pending> queue_;
   std::unique_ptr<ThreadPool> pool_;
 

@@ -1,7 +1,6 @@
 #include "src/serve/shm_arena.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -19,13 +18,6 @@ namespace tvmcpp {
 namespace serve {
 
 namespace {
-
-size_t EnvSizeOr(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
 
 std::string NormalizeShmName(const std::string& name) {
   std::string n = name.empty() ? std::string("/tvmcpp_serve") : name;
@@ -71,10 +63,8 @@ void ShmArena::MapAndInit(size_t bytes, int ring_slots) {
 
 std::shared_ptr<ShmArena> ShmArena::Create(const std::string& name, Options opts) {
   FAILPOINT("serve.shm_attach");
-  size_t bytes = opts.bytes > 0 ? opts.bytes : EnvSizeOr("TVMCPP_SHM_BYTES", 64u << 20);
-  int slots = opts.ring_slots > 0
-                  ? opts.ring_slots
-                  : static_cast<int>(EnvSizeOr("TVMCPP_SHM_SLOTS", 64));
+  CHECK_GT(opts.bytes, 0u) << "ShmArena::Options::bytes";
+  CHECK_GT(opts.ring_slots, 0) << "ShmArena::Options::ring_slots";
   auto arena = std::shared_ptr<ShmArena>(new ShmArena());
   arena->name_ = NormalizeShmName(name);
   arena->owner_ = true;
@@ -83,7 +73,7 @@ std::shared_ptr<ShmArena> ShmArena::Create(const std::string& name, Options opts
   shm_unlink(arena->name_.c_str());
   arena->fd_ = shm_open(arena->name_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
   if (arena->fd_ < 0) Fail("shm_open(create " + arena->name_ + ") failed: " + strerror(errno));
-  arena->MapAndInit(bytes, slots);
+  arena->MapAndInit(opts.bytes, opts.ring_slots);
   return arena;
 }
 

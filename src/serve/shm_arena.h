@@ -17,8 +17,8 @@ namespace tvmcpp {
 namespace serve {
 
 struct ShmArenaOptions {
-  size_t bytes = 0;    // total mapping size; 0 -> TVMCPP_SHM_BYTES (default 64 MiB)
-  int ring_slots = 0;  // request-ring capacity; 0 -> TVMCPP_SHM_SLOTS (default 64)
+  size_t bytes = 64u << 20;  // total mapping size
+  int ring_slots = 64;       // request-ring capacity
 };
 
 class ShmArena {
@@ -26,7 +26,8 @@ class ShmArena {
   using Options = ShmArenaOptions;
 
   // Creates (replacing any stale object of the same name) or attaches to the
-  // arena `name` ("/tvmcpp_serve"-style; a leading '/' is added if missing).
+  // arena `name` ("/tvmcpp_serve"-style; a leading '/' is added if missing, and
+  // "" names "/tvmcpp_serve").
   // Both throw std::runtime_error on failure — including version/magic
   // mismatch on attach — and evaluate the `serve.shm_attach` fail-point, so
   // callers can surface a typed Status. Attach waits up to `timeout_ms` for

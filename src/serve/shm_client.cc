@@ -45,12 +45,8 @@ void SleepABit() {
 std::unique_ptr<ShmClient> ShmClient::Connect(const std::string& shm_name, Status* status,
                                               double attach_timeout_ms) {
   auto client = std::unique_ptr<ShmClient>(new ShmClient());
-  const char* env = std::getenv("TVMCPP_SHM_NAME");
-  std::string name = !shm_name.empty()             ? shm_name
-                     : (env != nullptr && *env)    ? std::string(env)
-                                                  : std::string("/tvmcpp_serve");
   try {
-    client->arena_ = ShmArena::Attach(name, attach_timeout_ms);
+    client->arena_ = ShmArena::Attach(shm_name, attach_timeout_ms);
   } catch (const std::exception& e) {
     // Injected serve.shm_attach faults and real attach failures (missing
     // arena, version mismatch) land here identically: a typed transport fault.

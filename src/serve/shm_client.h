@@ -45,8 +45,8 @@ class ShmClient {
  public:
   using CallOptions = ShmCallOptions;
 
-  // Attaches to a serving arena (name resolution as in ShmTransport: "" uses
-  // TVMCPP_SHM_NAME, default "/tvmcpp_serve"). Waits up to `attach_timeout_ms`
+  // Attaches to a serving arena (name resolution as in ShmTransport: "" names
+  // "/tvmcpp_serve"). Waits up to `attach_timeout_ms`
   // for the server to create + initialize the arena. On failure returns null
   // and, when `status` is non-null, fills it with kTransportFault.
   static std::unique_ptr<ShmClient> Connect(const std::string& shm_name, Status* status,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -16,18 +15,6 @@ namespace tvmcpp {
 namespace serve {
 
 namespace {
-
-std::string EnvStrOr(const char* name, const char* fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? std::string(v) : std::string(fallback);
-}
-
-double EnvMsOr(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  double parsed = std::atof(v);
-  return parsed > 0 ? parsed : fallback;
-}
 
 void CopyName(char* dst, size_t cap, const std::string& src) {
   size_t n = std::min(src.size(), cap - 1);
@@ -107,16 +94,14 @@ bool ShmDecodeSlot(const std::shared_ptr<ShmArena>& arena, ShmRequestSlot* slot,
   return true;
 }
 
-ShmTransport::ShmTransport(InferenceServer* server, const Options& opts) : server_(server) {
+ShmTransport::ShmTransport(InferenceServer* server, const Options& opts)
+    : server_(server), reclaim_after_ms_(opts.reclaim_after_ms) {
   CHECK(server != nullptr) << "ShmTransport over a null InferenceServer";
-  std::string name =
-      !opts.shm_name.empty() ? opts.shm_name : EnvStrOr("TVMCPP_SHM_NAME", "/tvmcpp_serve");
+  CHECK_GE(opts.reclaim_after_ms, 0) << "ShmTransport::Options::reclaim_after_ms";
   ShmArena::Options aopts;
   aopts.bytes = opts.arena_bytes;
   aopts.ring_slots = opts.ring_slots;
-  arena_ = ShmArena::Create(name, aopts);
-  reclaim_after_ms_ = opts.reclaim_after_ms >= 0 ? opts.reclaim_after_ms
-                                                 : EnvMsOr("TVMCPP_SHM_RECLAIM_MS", 1000.0);
+  arena_ = ShmArena::Create(opts.shm_name, aopts);
   poller_ = std::thread([this] { PollLoop(); });
 }
 

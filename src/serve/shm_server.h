@@ -37,10 +37,10 @@ void ShmDescribeTensor(const std::string& name, const NDArray& t, ShmTensorDesc*
 class ShmTransport {
  public:
   struct Options {
-    std::string shm_name;         // "" -> TVMCPP_SHM_NAME, default "/tvmcpp_serve"
-    size_t arena_bytes = 0;       // 0 -> TVMCPP_SHM_BYTES, default 64 MiB
-    int ring_slots = 0;           // 0 -> TVMCPP_SHM_SLOTS, default 64
-    double reclaim_after_ms = -1; // <0 -> TVMCPP_SHM_RECLAIM_MS, default 1000
+    std::string shm_name;            // arena name; "" -> "/tvmcpp_serve"
+    size_t arena_bytes = 64u << 20;  // header + ring + slab heap
+    int ring_slots = 64;             // cross-process in-flight bound
+    double reclaim_after_ms = 1000;  // age before a dead client's slot is freed
   };
 
   // Creates the arena and starts the poller. `server` must outlive this object.

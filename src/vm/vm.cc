@@ -1883,20 +1883,6 @@ void WriteBuf(VMBuffer& b, int64_t idx, const ScalarVal& v) {
   }
 }
 
-int DefaultNumThreads() {
-  static const int n = [] {
-    if (const char* s = std::getenv("TVMCPP_NUM_THREADS")) {
-      int v = std::atoi(s);
-      if (v > 0) {
-        return v;
-      }
-    }
-    unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
-  }();
-  return n;
-}
-
 // Shared worker pool for kParallel loops run without an explicit ExecOptions::pool.
 // Sized at least 4 so chunked execution is exercised (and deterministic) even on
 // small machines. The pool belongs to the process that built it: a forked child
@@ -2363,8 +2349,18 @@ void ParallelFor(const ExecOptions& options, int64_t lo, int64_t hi,
 // Public API
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func) {
-  return CompileToProgram(func, LoopSpecializeOptions::FromEnv());
+int DefaultNumThreads() {
+  static const int n = [] {
+    if (const char* s = std::getenv("TVMCPP_NUM_THREADS")) {
+      int v = std::atoi(s);
+      if (v > 0) {
+        return v;
+      }
+    }
+    unsigned hc = std::thread::hardware_concurrency();
+    return hc > 0 ? static_cast<int>(hc) : 1;
+  }();
+  return n;
 }
 
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,

@@ -39,10 +39,13 @@ struct Program;  // defined in vm.cc; opaque to callers
 // bytecode compiler applies strength reduction and the peephole pass. Returns
 // nullptr when the body contains a construct the VM does not support (unknown
 // intrinsics, ...); callers should then fall back to RunLoweredInterp.
-// The one-argument form uses LoopSpecializeOptions::FromEnv().
-std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func);
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
-                                                const LoopSpecializeOptions& spec);
+                                                const LoopSpecializeOptions& spec = {});
+
+// Host parallelism: TVMCPP_NUM_THREADS when set to a positive count, else
+// std::thread::hardware_concurrency(). Read once per process; the single parser of
+// that variable (ExecOptions::num_threads and the serving pool size derive from it).
+int DefaultNumThreads();
 
 // --- fallback diagnostics ---------------------------------------------------------
 // Every silent engine downgrade (VM compile failure -> interpreter) is counted, and
@@ -60,8 +63,8 @@ void NoteFallback(const std::string& func_name);
 // is always run-local, so any number of Run() calls on the same shared Program may be
 // in flight concurrently; this struct only selects where kParallel chunks execute.
 struct ExecOptions {
-  // Worker count for kParallel loops. 0 = TVMCPP_NUM_THREADS env or
-  // std::thread::hardware_concurrency(); 1 = force serial execution.
+  // Worker count for kParallel loops. 0 = DefaultNumThreads(); 1 = force serial
+  // execution.
   int num_threads = 0;
   // Execute on the tree-walking reference interpreter instead of the VM, as an
   // *explicit* engine choice: unlike a compile-failure fallback it is not counted

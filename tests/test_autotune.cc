@@ -152,7 +152,7 @@ TEST(Measure, RealTimingOnCpuDense) {
   topi::OpWorkload wl{"dense", 4, 1, 1, 1, 32, 32, 1, 0};
   TuningTask task(wl, Target::ArmA53(), /*seed=*/11);
   ASSERT_FALSE(task.measure_options().use_sim)
-      << "CPU tasks must measure real programs (unset TVMCPP_TUNE_SIM)";
+      << "CPU tasks must default to measuring real programs";
   TuneOptions opt;
   opt.num_trials = 8;
   opt.batch_size = 4;
@@ -399,7 +399,7 @@ void ExpectBitwiseEqual(const NDArray& a, const NDArray& b, const std::string& w
 
 TEST(TuningCache, CompileConsultsGlobalCache) {
   ScopedCleanGlobalCache clean;
-  graph::CompileOptions opts;  // specialize = FromEnv(), like production compiles
+  graph::CompileOptions opts;  // default specialize, like production compiles
   graph::Graph g = DenseGraph(1);
   graph::GraphExecutor probe(DenseGraph(1), Target::ArmA53(), opts);
   ASSERT_EQ(probe.workloads().size(), 1u);

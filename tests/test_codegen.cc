@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/codegen/codegen.h"
@@ -43,7 +44,9 @@ namespace {
 
 struct ScopedStrictMode {
   bool saved;
-  ScopedStrictMode() : saved(vm::StrictMode()) { vm::SetStrictMode(true); }
+  explicit ScopedStrictMode(bool strict = true) : saved(vm::StrictMode()) {
+    vm::SetStrictMode(strict);
+  }
   ~ScopedStrictMode() { vm::SetStrictMode(saved); }
 };
 
@@ -53,31 +56,42 @@ struct ScopedEngine {
   ~ScopedEngine() { SetExecEngine(saved); }
 };
 
-// Points TVMCPP_NATIVE_CACHE at a fresh directory for the test's lifetime, so
-// cache assertions never see artifacts from other tests or earlier runs.
-struct ScopedCacheDir {
-  std::string dir;
+// Sets an environment variable for the guard's lifetime and then restores its
+// prior value (or unsets it), so neither a caller's setting nor a test's override
+// leaks past the test, even when an exception escapes it.
+struct ScopedEnv {
+  std::string name;
   std::string saved;
   bool had = false;
-  ScopedCacheDir() {
-    char tmpl[] = "/tmp/tvmcpp-codegen-test-XXXXXX";
-    char* made = mkdtemp(tmpl);
-    CHECK(made != nullptr) << "mkdtemp failed";
-    dir = made;
-    if (const char* old = std::getenv("TVMCPP_NATIVE_CACHE")) {
+  ScopedEnv(std::string var, const std::string& value) : name(std::move(var)) {
+    if (const char* old = std::getenv(name.c_str())) {
       had = true;
       saved = old;
     }
-    setenv("TVMCPP_NATIVE_CACHE", dir.c_str(), 1);
+    setenv(name.c_str(), value.c_str(), 1);
   }
-  ~ScopedCacheDir() {
+  ~ScopedEnv() {
     if (had) {
-      setenv("TVMCPP_NATIVE_CACHE", saved.c_str(), 1);
+      setenv(name.c_str(), saved.c_str(), 1);
     } else {
-      unsetenv("TVMCPP_NATIVE_CACHE");
+      unsetenv(name.c_str());
     }
-    std::system(("rm -rf '" + dir + "'").c_str());
   }
+};
+
+std::string MakeTempDir() {
+  char tmpl[] = "/tmp/tvmcpp-codegen-test-XXXXXX";
+  char* made = mkdtemp(tmpl);
+  CHECK(made != nullptr) << "mkdtemp failed";
+  return made;
+}
+
+// Points TVMCPP_NATIVE_CACHE at a fresh directory for the test's lifetime, so
+// cache assertions never see artifacts from other tests or earlier runs.
+struct ScopedCacheDir {
+  std::string dir = MakeTempDir();
+  ScopedEnv env{"TVMCPP_NATIVE_CACHE", dir};
+  ~ScopedCacheDir() { std::system(("rm -rf '" + dir + "'").c_str()); }
 };
 
 struct ArgBuf {
@@ -823,7 +837,8 @@ TEST(CodegenFallback, CompilerFailureFallsDownTierCounted) {
   // fine, compilation is not, so the native engine must count one downgrade and
   // serve the request from the VM tier — and hard-error under strict mode.
   ScopedCacheDir cache;
-  setenv("TVMCPP_NATIVE_CC", "/bin/false", 1);
+  ScopedEnv cc("TVMCPP_NATIVE_CC", "/bin/false");
+  ScopedStrictMode strict(false);
   ScopedEngine engine(ExecEngine::kNative);
   std::vector<Tensor> t;
   LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cc_broken");
@@ -834,8 +849,6 @@ TEST(CodegenFallback, CompilerFailureFallsDownTierCounted) {
     bind.push_back(args[i].Bind());
     oracle_bind.push_back(oracle[i].Bind());
   }
-  bool saved_strict = vm::StrictMode();
-  vm::SetStrictMode(false);
   vm::ResetFallbackCount();
   RunLowered(f, bind);  // native -> VM downgrade, counted but served
   EXPECT_EQ(vm::FallbackCount(), 1);
@@ -856,8 +869,6 @@ TEST(CodegenFallback, CompilerFailureFallsDownTierCounted) {
     bind2.push_back(b.Bind());
   }
   EXPECT_THROW(RunLowered(f2, bind2), InternalError);
-  vm::SetStrictMode(saved_strict);
-  unsetenv("TVMCPP_NATIVE_CC");
 }
 
 // ---------------------------------------------------------------------------

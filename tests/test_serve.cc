@@ -5,6 +5,7 @@
 // in-flight requests, post-shutdown rejection, and backpressure on a tiny queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "src/runtime/target.h"
 #include "src/serve/queue.h"
 #include "src/serve/serve.h"
+#include "src/support/logging.h"
 #include "src/vm/vm.h"
 
 namespace tvmcpp {
@@ -95,6 +97,36 @@ struct ScopedStrictMode {
   ScopedStrictMode() : saved(vm::StrictMode()) { vm::SetStrictMode(true); }
   ~ScopedStrictMode() { vm::SetStrictMode(saved); }
 };
+
+// A default-constructed ServerOptions is the whole configuration: no environment
+// variable can change what it yields.
+TEST(Serve, DefaultOptionsYieldDocumentedConfig) {
+  const serve::ServerOptions opts;
+  EXPECT_EQ(opts.queue_capacity, 64);
+  EXPECT_EQ(opts.batch_timeout_ms, 0);
+  EXPECT_EQ(opts.default_deadline_ms, 0);
+  EXPECT_EQ(opts.max_retries, 1);
+  EXPECT_EQ(opts.retry_backoff_ms, 0.5);
+  EXPECT_TRUE(opts.enable_fallback);
+  EXPECT_TRUE(opts.enable_shedding);
+  EXPECT_FALSE(opts.adaptive_linger);
+
+  serve::InferenceServer server(opts);
+  EXPECT_EQ(server.max_batch(), 1);
+  EXPECT_EQ(server.num_workers(), std::max(2, vm::DefaultNumThreads()));
+}
+
+TEST(Serve, OutOfRangeOptionsRejected) {
+  serve::ServerOptions retries;
+  retries.max_retries = -1;
+  EXPECT_THROW(serve::InferenceServer{retries}, InternalError);
+  serve::ServerOptions batch;
+  batch.max_batch = 0;
+  EXPECT_THROW(serve::InferenceServer{batch}, InternalError);
+  serve::ServerOptions linger;
+  linger.batch_timeout_ms = -1;
+  EXPECT_THROW(serve::InferenceServer{linger}, InternalError);
+}
 
 TEST(Serve, ConcurrentRequestsMatchSequential) {
   ScopedStrictMode strict;

@@ -111,7 +111,7 @@ serve::ServerOptions QuietServerOptions() {
   return o;
 }
 
-ShmTransport::Options TransportOptions(const std::string& name, int slots = 0) {
+ShmTransport::Options TransportOptions(const std::string& name, int slots = 64) {
   ShmTransport::Options o;
   o.shm_name = name;
   o.arena_bytes = 8u << 20;

@@ -261,19 +261,6 @@ TEST(SpecializeDiff, NoNewFallbacks) {
 // Unit tests: options plumbing and pass-fired assertions
 // ---------------------------------------------------------------------------
 
-TEST(SpecializeOptions, FromEnvReadsUnrollLimit) {
-  setenv("TVMCPP_UNROLL_LIMIT", "64", 1);
-  EXPECT_EQ(LoopSpecializeOptions::FromEnv().unroll_limit, 64);
-  setenv("TVMCPP_UNROLL_LIMIT", "0", 1);
-  EXPECT_EQ(LoopSpecializeOptions::FromEnv().unroll_limit, 0);
-  unsetenv("TVMCPP_UNROLL_LIMIT");
-  EXPECT_EQ(LoopSpecializeOptions::FromEnv().unroll_limit, 8);
-  setenv("TVMCPP_VM_SPECIALIZE", "0", 1);
-  EXPECT_FALSE(LoopSpecializeOptions::FromEnv().hoist_invariants);
-  EXPECT_EQ(LoopSpecializeOptions::FromEnv().unroll_limit, 0);
-  unsetenv("TVMCPP_VM_SPECIALIZE");
-}
-
 TEST(SpecializeOptions, RaisedLimitUnrollsWiderLoop) {
   std::vector<Tensor> t;
   LoweredFunc f = BuildSplitElementwise(32, &t);

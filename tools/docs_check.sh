@@ -4,8 +4,10 @@
 # Fails when (a) a src/ subdirectory is missing from the directory map, (b) the
 # map documents a `src/<dir>/` that no longer exists, (c) a TVMCPP_* environment
 # variable referenced in src/ or bench/ is missing from the environment-variable
-# contract table, or (d) the table documents a variable no code references — so new
-# knobs (e.g. the serving layer's batching controls) cannot ship undocumented.
+# contract table, (d) the table documents a variable no code references — so new
+# knobs cannot ship undocumented — or (e) src/ names a TVMCPP_* variable outside
+# the allowlist of process-wide settings, so a new library knob must be a field of
+# an options struct instead of an environment variable.
 # Registered as the `docs_check` CTest so the docs cannot silently rot.
 set -u
 
@@ -67,6 +69,20 @@ for var in $doc_vars; do
     fail=1
   fi
 done
+
+# Library knobs are options-struct fields; src/ may read only these process-wide
+# settings from the environment. Any other quoted TVMCPP_* name in src/ (a getenv
+# call, or a helper that forwards the name to one) fails with its location.
+allowed_src_vars="TVMCPP_ENGINE TVMCPP_VM_STRICT TVMCPP_NUM_THREADS TVMCPP_NATIVE_CACHE
+TVMCPP_NATIVE_CC TVMCPP_FAILPOINTS TVMCPP_FAILPOINT_SEED TVMCPP_TUNE_CACHE"
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  var="$(printf '%s\n' "$hit" | grep -oE 'TVMCPP_[A-Z0-9_]+')"
+  if ! printf '%s\n' $allowed_src_vars | grep -qx "$var"; then
+    echo "docs-check: ${hit%:*}: src/ reads env var $var; make it an options-struct field (allowed in src/: $(echo $allowed_src_vars))"
+    fail=1
+  fi
+done <<< "$(grep -rnoE '"TVMCPP_[A-Z0-9_]+"' "$root/src" 2>/dev/null | sed "s|^$root/||")"
 
 # Deployment guide: every env var an operator doc names must be a real knob
 # (referenced by code/CI), and every TVMCPP_SHM_* transport knob must be

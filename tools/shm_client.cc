@@ -208,7 +208,7 @@ int RunClient(const std::string& shm_name, const std::string& model, uint64_t se
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string shm_name;  // "" → TVMCPP_SHM_NAME → /tvmcpp_serve
+  std::string shm_name;  // "" → /tvmcpp_serve
   std::string model;
   bool serve_mode = false, list_mode = false, verify = false;
   int duration_s = 0, repeat = 1, priority = 0;
