@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/lower/lower.h"
 #include "src/runtime/target.h"

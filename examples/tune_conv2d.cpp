@@ -4,8 +4,8 @@
 #include <cstdio>
 
 #include "src/autotune/tuner.h"
-#include "src/runtime/rpc.h"
 #include "src/runtime/target.h"
+#include "src/runtime/threadpool.h"
 
 using namespace tvmcpp;
 using namespace tvmcpp::autotune;
@@ -28,20 +28,13 @@ int main() {
   std::printf("workload %s\n", wl.Key().c_str());
   std::printf("schedule space size: %lld configs\n", static_cast<long long>(task.size()));
 
-  // Simulated RPC device cluster (Section 5.4): four GPU workers measure in parallel.
-  DevicePool pool(4);
-  for (int i = 0; i < 4; ++i) {
-    pool.Register(DeviceWorker(target, [&task](const MeasureRequest& req) {
-      MeasureResult r;
-      r.seconds = task.Measure(*static_cast<const int64_t*>(req.payload));
-      return r;
-    }));
-  }
+  // Four workers measure each batch of candidate configs concurrently.
+  ThreadPool pool(4);
 
   TuneOptions opt;
   opt.num_trials = 128;
   opt.batch_size = 16;
-  opt.pool = &pool;
+  opt.workers = &pool;
   TuneResult ml = Tune(&task, TunerKind::kMlBased, opt);
   TuneResult rnd = Tune(&task, TunerKind::kRandom, opt);
 

@@ -229,25 +229,12 @@ std::vector<double> TuningTask::Features(int64_t index) {
 
 namespace {
 
-// Measures a batch, appending to the history: via the simulated device pool
-// when provided, else concurrently on the worker pool (lower/compile overlap;
-// real-mode timed sections serialize inside the task), else sequentially.
+// Measures a batch, appending to the history: concurrently on the worker pool
+// when provided (lower/compile overlap; real-mode timed sections serialize inside
+// the task), else sequentially.
 std::vector<double> MeasureBatch(TuningTask* task, const std::vector<int64_t>& batch,
                                  const TuneOptions& options) {
   std::vector<double> out(batch.size());
-  if (options.pool != nullptr) {
-    std::vector<MeasureRequest> reqs(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      reqs[i].func_name = task->workload().Key();
-      reqs[i].payload = &batch[i];
-    }
-    std::vector<MeasureResult> results =
-        options.pool->MeasureBatch(reqs, task->target().name);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out[i] = results[i].ok ? results[i].seconds : 1.0;
-    }
-    return out;
-  }
   if (options.workers != nullptr && batch.size() > 1) {
     std::vector<std::future<double>> futures;
     futures.reserve(batch.size());

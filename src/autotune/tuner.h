@@ -26,7 +26,6 @@
 #include "src/autotune/cache.h"
 #include "src/autotune/gbt.h"
 #include "src/runtime/ndarray.h"
-#include "src/runtime/rpc.h"
 #include "src/runtime/target.h"
 #include "src/topi/schedules.h"
 
@@ -128,7 +127,6 @@ struct TuneOptions {
   // Measure the untuned default config as trial 0, so the tuner's best is never
   // worse than what compilation would pick on a cache miss.
   bool include_default = true;
-  DevicePool* pool = nullptr;   // optional simulated RPC cluster for measurement
   // Worker pool for MeasureBatch: trials lower/compile concurrently (real-mode
   // timed sections still serialize inside the task). nullptr = sequential.
   ThreadPool* workers = nullptr;

@@ -290,51 +290,6 @@ void RunNativeKernel(const NativeKernel& kernel, const std::vector<BufferBinding
   kernel.fn(ptrs.data(), &par);
 }
 
-bool RunLoweredNative(const LoweredFunc& func, const std::vector<BufferBinding>& args) {
-  struct CacheEntry {
-    Stmt keepalive;  // pins the body so the pointer key cannot be reused
-    std::vector<const VarNode*> arg_vars;
-    NativeKernel kernel;  // empty when emission/compilation failed (cached miss)
-  };
-  static std::mutex mu;
-  static auto* cache = new std::unordered_map<const StmtNode*, CacheEntry>();
-  CHECK_EQ(args.size(), func.args.size()) << "argument count mismatch for " << func.name;
-  auto signature = [&] {
-    std::vector<const VarNode*> sig;
-    for (const BufferArg& a : func.args) {
-      sig.push_back(a.var.get());
-    }
-    return sig;
-  };
-  NativeKernel kernel;
-  bool cached = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache->find(func.body.get());
-    if (it != cache->end()) {
-      if (it->second.arg_vars == signature()) {
-        kernel = it->second.kernel;
-        cached = true;
-      } else {
-        cache->erase(it);
-      }
-    }
-  }
-  if (!cached) {
-    kernel = CompileNativeKernel(func);
-    std::lock_guard<std::mutex> lock(mu);
-    if (cache->size() >= 1024) {
-      cache->clear();  // crude eviction: bounds pinned ASTs in long-running processes
-    }
-    (*cache)[func.body.get()] = CacheEntry{func.body, signature(), kernel};
-  }
-  if (!kernel) {
-    return false;
-  }
-  RunNativeKernel(kernel, args);
-  return true;
-}
-
 NativeStats GetNativeStats() {
   NativeStats s;
   s.emits = g_emits.load(std::memory_order_relaxed);

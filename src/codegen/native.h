@@ -14,6 +14,9 @@
 //   3. corrupt or stale disk entries (dlopen failure, missing symbol) are
 //      recompiled in place via write-temp + atomic rename — never a crash.
 //
+// Callers hold the NativeKernels they compiled; choosing this tier and falling down
+// from it is the graph executor's job (src/graph/executor.h).
+//
 // Compile flags pin bitwise-exact float semantics: no -ffast-math, -ffp-contract=off
 // (no FMA fusing of a*b+c), and -fno-builtin (libm calls stay real glibc calls, the
 // same ones the interpreter makes, instead of being constant-folded by the compiler
@@ -87,11 +90,6 @@ NativeKernel CompileNativeKernel(const LoweredFunc& func);
 // Its outlined parallel loops run on `exec`'s pool and thread count, like vm::Run.
 void RunNativeKernel(const NativeKernel& kernel, const std::vector<BufferBinding>& args,
                      const vm::ExecOptions& exec = {});
-
-// Emit-with-cache + compile + execute, used by the RunLowered dispatcher (per-body
-// cache like vm::RunLoweredVM). Returns false when the function cannot be emitted
-// or compiled (caller falls back down-tier).
-bool RunLoweredNative(const LoweredFunc& func, const std::vector<BufferBinding>& args);
 
 // Counters for tests and benches. emits/emit_failures: EmitC outcomes observed by
 // kernel compilation; compiles: real compiler invocations; mem_hits/disk_hits:

@@ -1,7 +1,9 @@
 #include "src/graph/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -12,7 +14,89 @@
 #include "src/support/failpoint.h"
 
 namespace tvmcpp {
+
+namespace {
+
+// Atomic so concurrent serving threads reading the engine while a test or tool flips
+// it (SetExecEngine) stay race-free; each Run() call observes one coherent value.
+std::atomic<ExecEngine>& EngineSlot() {
+  static std::atomic<ExecEngine> engine = [] {
+    const char* s = std::getenv("TVMCPP_ENGINE");
+    if (s != nullptr && std::string(s) == "interp") {
+      return ExecEngine::kInterp;
+    }
+    if (s != nullptr && std::string(s) == "native") {
+      return ExecEngine::kNative;
+    }
+    return ExecEngine::kVm;
+  }();
+  return engine;
+}
+
+}  // namespace
+
+void SetExecEngine(ExecEngine engine) {
+  EngineSlot().store(engine, std::memory_order_relaxed);
+}
+ExecEngine GetExecEngine() { return EngineSlot().load(std::memory_order_relaxed); }
+
 namespace graph {
+namespace {
+
+// Compiles the tiers `engine` will try for each of `fns`: a bytecode program unless
+// the engine is interp — under native it is the first fallback tier, so it is
+// compiled eagerly rather than on the first native miss — plus, under native, every
+// function emitted into one C translation unit and built as a single .so (one
+// compiler invocation, one dlopen'd module kept alive by every kernel's shared_ptr).
+void CompileTiers(ExecEngine engine, const LoopSpecializeOptions& spec,
+                  const std::vector<TieredFunc*>& fns) {
+  if (engine == ExecEngine::kInterp) {
+    return;
+  }
+  std::vector<const LoweredFunc*> funcs;
+  funcs.reserve(fns.size());
+  for (TieredFunc* f : fns) {
+    f->program = vm::CompileToProgram(f->func, spec);
+    funcs.push_back(&f->func);
+  }
+  if (engine == ExecEngine::kNative) {
+    std::vector<codegen::NativeKernel> native = codegen::CompileNativeKernels(funcs);
+    for (size_t i = 0; i < fns.size() && i < native.size(); ++i) {
+      fns[i]->native = native[i];
+    }
+  }
+}
+
+// Runs `f` on the highest tier `engine` allows that compiled it. Each tier it has
+// to fall past is a silent downgrade, so it is counted (fatal under
+// TVMCPP_VM_STRICT=1) before the next tier runs.
+void RunTiers(ExecEngine engine, const TieredFunc& f, const std::vector<BufferBinding>& args,
+              const vm::ExecOptions& exec) {
+  if (exec.force_interp) {
+    // Explicit down-tier (the serving layer's fault-fallback ladder): run the
+    // reference interpreter deliberately. Not a silent downgrade, so it is not
+    // counted by FallbackCount and does not trip TVMCPP_VM_STRICT.
+    RunLoweredInterp(f.func, args);
+    return;
+  }
+  if (engine == ExecEngine::kNative) {
+    if (f.native) {
+      codegen::RunNativeKernel(f.native, args, exec);
+      return;
+    }
+    vm::NoteFallback(f.func.name);
+  }
+  if (engine != ExecEngine::kInterp) {
+    if (f.program != nullptr) {
+      vm::Run(*f.program, args, exec);
+      return;
+    }
+    vm::NoteFallback(f.func.name);
+  }
+  RunLoweredInterp(f.func, args);
+}
+
+}  // namespace
 
 CompiledGraph::CompiledGraph(Graph g, Target target, CompileOptions options)
     : graph_(std::move(g)), target_(std::move(target)), options_(options) {
@@ -171,36 +255,20 @@ void CompiledGraph::Compile() {
     std::vector<Tensor> args = arg_tensors;
     args.push_back(output);
     Kernel k;
-    k.name = "fused_" + graph_.node(grp.nodes.back()).name;
-    k.func = Lower(sch, args, k.name);
-    if (GetExecEngine() != ExecEngine::kInterp) {
-      // Compiled once, reused by every Run(); loop specialization per the model's
-      // (possibly inherited) CompileOptions rather than the process environment.
-      // Under the native engine this is the first fallback tier, so it is compiled
-      // eagerly too rather than lazily on the first native miss.
-      k.program = vm::CompileToProgram(k.func, options_.specialize);
-    }
+    k.func = Lower(sch, args, "fused_" + graph_.node(grp.nodes.back()).name);
     k.input_nodes = externals;
     k.output_node = grp.nodes.back();
     kernels_.push_back(std::move(k));
   }
 
-  if (GetExecEngine() == ExecEngine::kNative) {
-    // Tier-2 AOT: all fused kernels are emitted into one C translation unit and
-    // compiled as a single .so (one compiler invocation per graph, one dlopen'd
-    // module kept alive by every kernel's shared_ptr). Kernels whose emission
-    // failed come back empty and fall down-tier at Run() time.
-    std::vector<const LoweredFunc*> funcs;
-    funcs.reserve(kernels_.size());
-    for (const Kernel& k : kernels_) {
-      funcs.push_back(&k.func);
-    }
-    std::vector<codegen::NativeKernel> native =
-        codegen::CompileNativeKernels(funcs);
-    for (size_t i = 0; i < kernels_.size() && i < native.size(); ++i) {
-      kernels_[i].native = native[i];
-    }
+  // Compiled once, reused by every Run(); loop specialization per the model's
+  // (possibly inherited) CompileOptions rather than the process environment.
+  std::vector<TieredFunc*> fns;
+  fns.reserve(kernels_.size());
+  for (Kernel& k : kernels_) {
+    fns.push_back(&k);
   }
+  CompileTiers(GetExecEngine(), options_.specialize, fns);
 }
 
 void CompiledGraph::AllocateBuffers(std::unordered_map<int, NDArray>* values) const {
@@ -286,7 +354,7 @@ void CompiledGraph::Run(RunContext* ctx, const vm::ExecOptions& exec) const {
       FAILPOINT("graph.kernel");
       if (exec.deadline != std::chrono::steady_clock::time_point::max() &&
           std::chrono::steady_clock::now() >= exec.deadline) {
-        throw DeadlineExceededError("deadline exceeded before kernel " + k.name);
+        throw DeadlineExceededError("deadline exceeded before kernel " + k.func.name);
       }
     }
     std::vector<BufferBinding> bindings;
@@ -294,31 +362,7 @@ void CompiledGraph::Run(RunContext* ctx, const vm::ExecOptions& exec) const {
       bindings.push_back(buffer_of(id).Binding());
     }
     bindings.push_back(buffer_of(k.output_node).Binding());
-    if (exec.force_interp) {
-      // Explicit down-tier (the serving layer's fault-fallback ladder): run the
-      // reference interpreter deliberately. Not a silent downgrade, so it is not
-      // counted by FallbackCount and does not trip TVMCPP_VM_STRICT.
-      RunLoweredInterp(k.func, bindings);
-      continue;
-    }
-    if (engine == ExecEngine::kNative) {
-      if (k.native) {
-        codegen::RunNativeKernel(k.native, bindings, exec);
-        continue;
-      }
-      // Native engine selected but the kernel failed to emit/compile: record the
-      // silent downgrade (fatal under TVMCPP_VM_STRICT=1) and try the VM tier.
-      vm::NoteFallback(k.func.name);
-    }
-    if (engine != ExecEngine::kInterp) {
-      if (k.program != nullptr) {
-        vm::Run(*k.program, bindings, exec);
-        continue;
-      }
-      // VM tier unavailable too: one more counted downgrade to the interpreter.
-      vm::NoteFallback(k.func.name);
-    }
-    RunLoweredInterp(k.func, bindings);
+    RunTiers(engine, k, bindings, exec);
   }
 }
 
@@ -333,7 +377,7 @@ double CompiledGraph::EstimateSeconds() const {
 std::vector<std::pair<std::string, double>> CompiledGraph::KernelCosts() const {
   std::vector<std::pair<std::string, double>> out;
   for (const Kernel& k : kernels_) {
-    out.emplace_back(k.name, EstimateCost(target_, k.func).seconds);
+    out.emplace_back(k.func.name, EstimateCost(target_, k.func).seconds);
   }
   return out;
 }
@@ -364,4 +408,14 @@ void RunContext::BindOutput(int index, const NDArray& buffer) {
 }
 
 }  // namespace graph
+
+void RunLowered(const LoweredFunc& func, const std::vector<BufferBinding>& args) {
+  CHECK_EQ(args.size(), func.args.size()) << "argument count mismatch for " << func.name;
+  const ExecEngine engine = GetExecEngine();
+  graph::TieredFunc f;
+  f.func = func;
+  graph::CompileTiers(engine, {}, {&f});
+  graph::RunTiers(engine, f, args, {});
+}
+
 }  // namespace tvmcpp

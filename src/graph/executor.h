@@ -1,10 +1,16 @@
 // Graph executor (Section 2's runtime module): compiles a computational graph into fused
 // kernels for a target and runs them on the selected execution engine.
 //
+// This layer is the single owner of engine choice: ExecEngine / TVMCPP_ENGINE, the
+// per-kernel tier compile (VM program, batched native module) and the down-tier
+// ladder native -> VM -> interpreter live here, shared by CompiledGraph::Run and the
+// single-function RunLowered. The engines below (src/vm, src/codegen, src/interp)
+// only execute what they are handed.
+//
 // The execution path is split for concurrent serving (src/serve):
 //   - CompiledGraph: the immutable product of graph compilation — fused groups, memory
-//     plan, lowered funcs, and cached vm::Programs. Shared read-only by any number of
-//     in-flight requests; Run() is const and reentrant.
+//     plan, lowered funcs, and each kernel's compiled tiers. Shared read-only by any
+//     number of in-flight requests; Run() is const and reentrant.
 //   - RunContext: the cheap per-request state — input/output/intermediate buffers laid
 //     out per the memory plan. One per logically-concurrent request.
 //   - GraphExecutor: the original single-request convenience facade, now a thin
@@ -21,20 +27,41 @@
 
 #include "src/codegen/native.h"
 #include "src/graph/graph.h"
+#include "src/interp/interp.h"
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
 #include "src/vm/vm.h"
 
 namespace tvmcpp {
+
+// Which engine runs compiled kernels. The bytecode VM (src/vm) is the default; the
+// tree-walking interpreter (src/interp) is the reference semantics and the last
+// fallback tier; kNative (src/codegen) is the AOT tier-2 backend. Higher tiers fall
+// down-tier per kernel (native -> VM -> interp) when they cannot compile it; each such
+// silent downgrade is counted by vm::FallbackCount and fatal under TVMCPP_VM_STRICT=1.
+// Initialized from env TVMCPP_ENGINE=vm|interp|native. The slot is atomic:
+// concurrent serving threads may read it while a test flips it, and each Run observes
+// one coherent value (see src/vm/README.md, "Concurrency").
+enum class ExecEngine { kVm, kInterp, kNative };
+void SetExecEngine(ExecEngine engine);
+ExecEngine GetExecEngine();
+
+// Executes `func` with `args` bound positionally to func.args on the selected engine:
+// compiles it the way CompiledGraph compiles one kernel, then runs it through the same
+// down-tier ladder. Nothing is memoized: a repeat call re-emits and recompiles (the
+// native tier's content-addressed module registry makes that a map lookup, not a
+// compiler run), so callers that run a function many times should build a
+// CompiledGraph instead.
+void RunLowered(const LoweredFunc& func, const std::vector<BufferBinding>& args);
+
 namespace graph {
 
 // Per-operator tuned configs, keyed by OpWorkload::Key().
 using TunedConfigs = std::unordered_map<std::string, topi::Config>;
 
 struct CompileOptions {
-  bool enable_fusion = true;       // graph-level operator fusion (Section 3)
-  bool enable_fold = true;         // constant folding
+  bool enable_fusion = true;  // graph-level operator fusion (Section 3)
   // Explicit per-workload configs; wins over every other config source.
   const TunedConfigs* tuned = nullptr;
   // Consult the process-wide persistent tuning cache (autotune::GlobalTuningCache,
@@ -53,6 +80,16 @@ struct CompileOptions {
   // setting — batched rows get the same unroll/hoist treatment (notably the hoisted
   // batch-offset adds).
   LoopSpecializeOptions specialize;
+};
+
+// One lowered function with the tiers compiled for it once, before any run: the
+// bytecode program unless the engine is interp (under native it is the first
+// fallback tier), plus the AOT kernel under native. Either is empty when that tier
+// cannot compile the function, and the run ladder falls past it.
+struct TieredFunc {
+  LoweredFunc func;
+  std::shared_ptr<const vm::Program> program;
+  codegen::NativeKernel native;
 };
 
 class CompiledGraph;
@@ -103,11 +140,11 @@ class CompiledGraph {
   // Binds a weight shared by all requests. Call before concurrent Run()s begin.
   void SetParam(const std::string& name, const NDArray& value);
 
-  // Executes all kernels against the request's buffers: each fused kernel runs its
-  // bytecode program compiled and cached at construction time (or the reference
-  // interpreter, per GetExecEngine()). Const and reentrant: any number of Run()s on
-  // distinct RunContexts may be in flight; `exec` selects the worker pool / thread
-  // count for intra-kernel kParallel chunking.
+  // Executes all kernels against the request's buffers: each fused kernel runs on the
+  // highest tier GetExecEngine() allows that compiled it at construction time (native,
+  // then VM, then the reference interpreter). Const and reentrant: any number of
+  // Run()s on distinct RunContexts may be in flight; `exec` selects the worker pool /
+  // thread count for intra-kernel kParallel chunking.
   void Run(RunContext* ctx, const vm::ExecOptions& exec = {}) const;
 
   // Compiles a batched variant of this graph: every `input` node's leading (batch)
@@ -141,19 +178,9 @@ class CompiledGraph {
  private:
   friend class RunContext;
 
-  struct Kernel {
-    LoweredFunc func;
-    // Bytecode program compiled once at graph-compile time; null when the VM cannot
-    // compile the kernel (it then runs on the reference interpreter). Also compiled
-    // under the native engine, as that engine's first fallback tier.
-    std::shared_ptr<const vm::Program> program;
-    // Tier-2 AOT kernel (src/codegen), compiled once at graph-compile time when the
-    // native engine is selected; empty when emission or compilation failed (the
-    // kernel then falls down-tier to `program`, then to the interpreter).
-    codegen::NativeKernel native;
+  struct Kernel : TieredFunc {
     std::vector<int> input_nodes;  // graph node ids bound to func args (last = output)
     int output_node = -1;
-    std::string name;
   };
 
   void Compile();

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/ir/simplify.h"
 #include "src/topi/nn.h"

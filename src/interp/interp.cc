@@ -1,22 +1,17 @@
 #include "src/interp/interp.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/codegen/native.h"
 #include "src/ir/functor.h"
 #include "src/ir/intrin_table.h"
 #include "src/ir/printer.h"
 #include "src/ir/simplify.h"
 #include "src/support/float16.h"
-#include "src/vm/vm.h"
 
 namespace tvmcpp {
 
@@ -442,52 +437,6 @@ void RunLoweredInterp(const LoweredFunc& func, const std::vector<BufferBinding>&
     interp.BindBuffer(func.args[i].var.get(), std::move(state));
   }
   interp.Exec(body);
-}
-
-namespace {
-
-// Atomic so concurrent serving threads reading the engine while a test or tool flips
-// it (SetExecEngine) stay race-free; each Run() call observes one coherent value.
-std::atomic<ExecEngine>& EngineSlot() {
-  static std::atomic<ExecEngine> engine = [] {
-    const char* s = std::getenv("TVMCPP_ENGINE");
-    if (s != nullptr && std::string(s) == "interp") {
-      return ExecEngine::kInterp;
-    }
-    if (s != nullptr && std::string(s) == "native") {
-      return ExecEngine::kNative;
-    }
-    return ExecEngine::kVm;
-  }();
-  return engine;
-}
-
-}  // namespace
-
-void SetExecEngine(ExecEngine engine) {
-  EngineSlot().store(engine, std::memory_order_relaxed);
-}
-ExecEngine GetExecEngine() { return EngineSlot().load(std::memory_order_relaxed); }
-
-void RunLowered(const LoweredFunc& func, const std::vector<BufferBinding>& args) {
-  ExecEngine engine = GetExecEngine();
-  if (engine == ExecEngine::kNative) {
-    if (codegen::RunLoweredNative(func, args)) {
-      return;
-    }
-    // Native emit/compile failure: down-tier to the VM. Counted (and fatal under
-    // TVMCPP_VM_STRICT=1) like any other silent engine downgrade.
-    vm::NoteFallback(func.name);
-  }
-  if (engine != ExecEngine::kInterp) {
-    if (vm::RunLoweredVM(func, args)) {
-      return;
-    }
-    // Silent engine downgrades are invisible to callers; count them, and fail hard
-    // under TVMCPP_VM_STRICT=1 so coverage regressions surface in tests.
-    vm::NoteFallback(func.name);
-  }
-  RunLoweredInterp(func, args);
 }
 
 }  // namespace tvmcpp

@@ -4,7 +4,9 @@
 // (which preserves semantics: parallel/vectorized/thread-bound loops in this IR are
 // data-parallel by construction), so the interpreter serves as the functional oracle
 // against which schedule transformations are verified. Hardware performance is modeled
-// separately (src/sim, src/vdla).
+// separately (src/sim, src/vdla). Engine choice and the down-tier ladder that ends
+// here live above it, in src/graph/executor.h; this layer includes nothing from the
+// tiers it checks (src/vm, src/codegen, src/graph), which tools/docs_check.sh enforces.
 #ifndef SRC_INTERP_INTERP_H_
 #define SRC_INTERP_INTERP_H_
 
@@ -24,23 +26,8 @@ struct BufferBinding {
   int64_t num_elements = 0;
 };
 
-// Which engine RunLowered dispatches to. The bytecode VM (src/vm) is the default; the
-// tree-walking interpreter remains the reference semantics and the fallback for
-// programs the VM cannot compile; kNative (src/codegen) is the AOT tier-2 backend,
-// which falls back down-tier native -> VM -> interp per function. Overridable via
-// env TVMCPP_ENGINE=vm|interp|native.
-// The slot is atomic: concurrent serving threads may read it while a test flips it,
-// and each Run observes one coherent value (see src/vm/README.md, "Concurrency").
-enum class ExecEngine { kVm, kInterp, kNative };
-void SetExecEngine(ExecEngine engine);
-ExecEngine GetExecEngine();
-
-// Executes `func` with `args` bound positionally to func.args, dispatching to the
-// engine selected by SetExecEngine / TVMCPP_ENGINE (VM by default, with automatic
-// interpreter fallback when the VM cannot compile the function).
-void RunLowered(const LoweredFunc& func, const std::vector<BufferBinding>& args);
-
-// Always executes on the tree-walking reference interpreter.
+// Executes `func` with `args` bound positionally to func.args on the tree-walking
+// reference interpreter.
 void RunLoweredInterp(const LoweredFunc& func, const std::vector<BufferBinding>& args);
 
 // Storage bytes per element as the interpreter lays data out (see BufferBinding).

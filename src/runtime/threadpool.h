@@ -1,9 +1,9 @@
-// A small fixed-size thread pool. Used by the simulated RPC device cluster
-// (Section 5.4) for measurement jobs, by the VM for kParallel loop chunks, and by the
-// serving scheduler (src/serve) as the process-wide worker pool multiplexing whole
-// inference requests and intra-kernel chunks over the same threads.
+// A small fixed-size thread pool. Used by the autotuner for concurrent measurement
+// jobs, by the VM for kParallel loop chunks, and by the serving scheduler (src/serve)
+// as the process-wide worker pool multiplexing whole inference requests and
+// intra-kernel chunks over the same threads.
 //
-// Jobs come in two classes. Submit enqueues general jobs (RPC measurements, whole
+// Jobs come in two classes. Submit enqueues general jobs (tuning measurements, whole
 // inference requests). SubmitNested enqueues sub-jobs spawned from *inside* a running
 // job (kParallel loop chunks); workers prefer them over general jobs, and TryRunOne
 // lets a thread that is blocked on nested-job futures help drain them instead of

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -2407,53 +2406,6 @@ void Run(const Program& program, const std::vector<BufferBinding>& args,
     st.bufs[i] = VMBuffer{args[i].data, args[i].num_elements, program.arg_kind[i]};
   }
   RunRange(program, st, 0, static_cast<int32_t>(program.code.size()), options);
-}
-
-bool RunLoweredVM(const LoweredFunc& func, const std::vector<BufferBinding>& args) {
-  struct CacheEntry {
-    Stmt keepalive;  // pins the body so the pointer key cannot be reused
-    std::vector<const VarNode*> arg_vars;  // program slots are positional over these
-    std::shared_ptr<const Program> program;
-  };
-  static std::mutex mu;
-  static std::unordered_map<const StmtNode*, CacheEntry> cache;
-  CHECK_EQ(args.size(), func.args.size()) << "argument count mismatch for " << func.name;
-  auto signature = [&] {
-    std::vector<const VarNode*> sig;
-    for (const BufferArg& a : func.args) {
-      sig.push_back(a.var.get());
-    }
-    return sig;
-  };
-  std::shared_ptr<const Program> program;
-  bool cached = false;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(func.body.get());
-    if (it != cache.end()) {
-      if (it->second.arg_vars == signature()) {
-        program = it->second.program;
-        cached = true;
-      } else {
-        // Same body shared by a func with a different argument list: the cached
-        // program's buffer slots do not apply. Compile fresh, leave the cache alone.
-        cache.erase(it);
-      }
-    }
-  }
-  if (!cached) {
-    program = CompileToProgram(func);
-    std::lock_guard<std::mutex> lock(mu);
-    if (cache.size() >= 1024) {
-      cache.clear();  // crude eviction: bounds pinned ASTs in long-running processes
-    }
-    cache[func.body.get()] = CacheEntry{func.body, signature(), program};
-  }
-  if (program == nullptr) {
-    return false;
-  }
-  Run(*program, args);
-  return true;
 }
 
 int ProgramNumInstructions(const Program& program) {

@@ -10,8 +10,10 @@
 // The tree-walking interpreter (src/interp) remains the reference semantics; the VM is
 // bitwise-identical to it by construction (same scalar value model, same evaluation
 // order, same bounds checks, same float16 rounding helper). Unsupported constructs make
-// CompileToProgram return nullptr and callers fall back to the interpreter.
-// See src/vm/README.md for the design notes.
+// CompileToProgram return nullptr; the graph executor's tier ladder
+// (src/graph/executor.h) then runs the function on the interpreter. Nothing here
+// caches programs: callers hold the Program they compiled. See src/vm/README.md for
+// the design notes.
 #ifndef SRC_VM_VM_H_
 #define SRC_VM_VM_H_
 
@@ -48,15 +50,15 @@ std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
 int DefaultNumThreads();
 
 // --- fallback diagnostics ---------------------------------------------------------
-// Every silent engine downgrade (VM compile failure -> interpreter) is counted, and
-// TVMCPP_VM_STRICT=1 (or SetStrictMode(true)) turns the downgrade into a hard error so
-// coverage regressions fail loudly instead of quietly de-optimizing.
+// Every silent engine downgrade (native or VM compile failure -> next tier down) is
+// counted, and TVMCPP_VM_STRICT=1 (or SetStrictMode(true)) turns the downgrade into a
+// hard error so coverage regressions fail loudly instead of quietly de-optimizing.
 int64_t FallbackCount();
 void ResetFallbackCount();
 bool StrictMode();
 void SetStrictMode(bool strict);
-// Records one VM->interpreter fallback for `func_name`; fatal under strict mode.
-// Called by the RunLowered dispatcher.
+// Records one down-tier fallback for `func_name`; fatal under strict mode. Called
+// only by the tier ladder in src/graph/executor.cc, which owns engine selection.
 void NoteFallback(const std::string& func_name);
 
 // Explicit per-run engine context. Execution state itself (registers, buffer table)
@@ -98,11 +100,6 @@ void Run(const Program& program, const std::vector<BufferBinding>& args,
 // kParFor and the native tier's parallel launcher (src/codegen/native.h).
 void ParallelFor(const ExecOptions& options, int64_t lo, int64_t hi,
                  const std::function<void(int64_t, int64_t)>& chunk);
-
-// Compile-with-cache + execute, used by the RunLowered dispatcher. Programs are cached
-// per function body so repeated runs skip compilation. Returns false when the function
-// cannot be compiled (caller should interpret).
-bool RunLoweredVM(const LoweredFunc& func, const std::vector<BufferBinding>& args);
 
 // Introspection (tests, benches, docs).
 int ProgramNumInstructions(const Program& program);

@@ -858,17 +858,46 @@ TEST(CodegenFallback, CompilerFailureFallsDownTierCounted) {
             0)
       << "the VM tier that served the downgrade must still match the oracle";
 
-  // Under strict mode the same downgrade is fatal (a fresh function name keeps
-  // the negative-result cache from short-circuiting differently).
-  vm::SetStrictMode(true);
-  std::vector<Tensor> t2;
-  LoweredFunc f2 = BuildDense(DataType::Float32(), 0, 0, &t2, "cg_cc_broken2");
-  std::vector<ArgBuf> args2 = MakeArgs(t2, 71);
-  std::vector<BufferBinding> bind2;
-  for (ArgBuf& b : args2) {
-    bind2.push_back(b.Bind());
+  // CompiledGraph runs its kernels through the same ladder. A multi-kernel graph
+  // compiled under the broken compiler has no native kernels: every Run counts one
+  // downgrade per kernel and still matches the graph compiled for the interpreter.
+  auto dense_chain = [] {
+    graph::Graph g;
+    int x = g.AddInput("data", {2, 8});
+    for (int l = 0; l < 2; ++l) {
+      int w = g.AddConst("w" + std::to_string(l), {8, 8});
+      x = g.AddOp("dense", "d" + std::to_string(l), {x, w});
+      x = g.AddOp("relu", "r" + std::to_string(l), {x});
+    }
+    g.outputs = {x};
+    auto model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53(),
+                                                        graph::CompileOptions{});
+    for (int l = 0; l < 2; ++l) {
+      model->SetParam("w" + std::to_string(l),
+                      NDArray::Random({8, 8}, DataType::Float32(),
+                                      static_cast<uint64_t>(80 + l)));
+    }
+    return model;
+  };
+  auto broken = dense_chain();
+  ASSERT_GE(broken->num_kernels(), 2);
+  NDArray input = NDArray::Random({2, 8}, DataType::Float32(), 83);
+  NDArray graph_out;
+  for (int run = 0; run < 2; ++run) {
+    vm::ResetFallbackCount();
+    graph_out = RunModelOnce(broken, {{"data", input}});
+    EXPECT_EQ(vm::FallbackCount(), broken->num_kernels()) << "run " << run;
   }
-  EXPECT_THROW(RunLowered(f2, bind2), InternalError);
+  {
+    ScopedEngine interp(ExecEngine::kInterp);
+    ExpectBitwiseEqual(graph_out, RunModelOnce(dense_chain(), {{"data", input}}),
+                       "graph served by the VM tier vs the interp engine");
+  }
+
+  // Under strict mode the same downgrades are fatal, for one function and for a graph.
+  vm::SetStrictMode(true);
+  EXPECT_THROW(RunLowered(f, bind), InternalError);
+  EXPECT_THROW(RunModelOnce(broken, {{"data", input}}), InternalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/ir/functor.h"
 #include "src/ir/printer.h"

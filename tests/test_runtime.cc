@@ -1,16 +1,15 @@
-// Runtime-layer tests: NDArray, Module, the thread pool, the simulated RPC device pool
-// (Section 5.4), vendor baseline profiles, and the low-precision cost model.
+// Runtime-layer tests: NDArray, the thread pool, vendor baseline profiles, and the
+// low-precision cost model.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "src/baselines/baselines.h"
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/lower/lower.h"
 #include "src/lowp/lowp.h"
-#include "src/runtime/module.h"
 #include "src/runtime/ndarray.h"
-#include "src/runtime/rpc.h"
 #include "src/runtime/threadpool.h"
 #include "src/schedule/schedule.h"
 #include "src/te/tensor.h"
@@ -37,24 +36,6 @@ TEST(NDArrayTest, IntTypesWiden) {
   }
 }
 
-TEST(ModuleTest, RunsNamedFunctions) {
-  const int n = 16;
-  Tensor A = placeholder({make_int(n)}, DataType::Float32(), "A");
-  Tensor C = compute({make_int(n)},
-                     [&](const std::vector<Var>& i) { return A({i[0]}) + make_float(1); },
-                     "C");
-  Schedule s = create_schedule({C});
-  Module mod(Target::ArmA53());
-  mod.Add(Lower(s, {A, C}, "add_one"));
-  EXPECT_TRUE(mod.Has("add_one"));
-  NDArray a = NDArray::Random({n}, DataType::Float32(), 5);
-  NDArray c = NDArray::Empty({n});
-  mod.Run("add_one", {a, c});
-  for (int i = 0; i < n; ++i) {
-    EXPECT_FLOAT_EQ(c.Data<float>()[i], a.Data<float>()[i] + 1);
-  }
-}
-
 TEST(ThreadPoolTest, ExecutesAllJobs) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -71,26 +52,6 @@ TEST(ThreadPoolTest, ExecutesAllJobs) {
   }
   EXPECT_EQ(count.load(), 64);
   EXPECT_EQ(sum, 64 * 63);
-}
-
-TEST(DevicePoolTest, DispatchesToMatchingTarget) {
-  DevicePool pool(2);
-  pool.Register(DeviceWorker(Target::TitanX(), [](const MeasureRequest& req) {
-    MeasureResult r;
-    r.seconds = 0.5;
-    return r;
-  }));
-  std::vector<MeasureRequest> reqs(4);
-  auto ok = pool.MeasureBatch(reqs, "cuda");
-  for (const auto& r : ok) {
-    EXPECT_TRUE(r.ok);
-    EXPECT_DOUBLE_EQ(r.seconds, 0.5);
-    EXPECT_GT(r.queue_seconds, 0);  // RPC overhead modeled
-  }
-  auto missing = pool.MeasureBatch(reqs, "no_such_target");
-  for (const auto& r : missing) {
-    EXPECT_FALSE(r.ok);
-  }
 }
 
 TEST(BaselinesTest, ProfilesEncodePaperStructure) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
 #include "src/lower/lower.h"

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/ir/simplify.h"
 #include "src/lower/lower.h"

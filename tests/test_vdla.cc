@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "src/graph/executor.h"
 #include "src/interp/interp.h"
 #include "src/lower/lower.h"
 #include "src/runtime/target.h"

@@ -7,7 +7,9 @@
 # contract table, (d) the table documents a variable no code references — so new
 # knobs cannot ship undocumented — or (e) src/ names a TVMCPP_* variable outside
 # the allowlist of process-wide settings, so a new library knob must be a field of
-# an options struct instead of an environment variable.
+# an options struct instead of an environment variable, or (f) a file under
+# src/interp/ includes a header from src/vm/, src/codegen/ or src/graph/, so the
+# reference interpreter stays below the tiers it checks.
 # Registered as the `docs_check` CTest so the docs cannot silently rot.
 set -u
 
@@ -84,6 +86,17 @@ while IFS= read -r hit; do
   fi
 done <<< "$(grep -rnoE '"TVMCPP_[A-Z0-9_]+"' "$root/src" 2>/dev/null | sed "s|^$root/||")"
 
+# Layering: the reference interpreter is the oracle the VM and native tiers are
+# checked against, and engine selection lives in src/graph/executor.cc. A file under
+# src/interp/ that includes a header from those layers fails with its location.
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  header="$(printf '%s\n' "$hit" | grep -oE '"src/[^"]+"' | tr -d '"')"
+  echo "docs-check: $(printf '%s\n' "$hit" | cut -d: -f1,2): src/interp/ includes $header; the reference interpreter must not depend on src/vm/, src/codegen/ or src/graph/"
+  fail=1
+done <<< "$(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"src/(vm|codegen|graph)/' \
+            "$root/src/interp" 2>/dev/null | sed "s|^$root/||")"
+
 # Deployment guide: every env var an operator doc names must be a real knob
 # (referenced by code/CI), and every TVMCPP_SHM_* transport knob must be
 # documented in docs/DEPLOYMENT.md — the operator guide is the shm contract's
@@ -109,6 +122,6 @@ else
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs-check: directory map, env-var table, and deployment guide are in sync with the tree"
+  echo "docs-check: directory map, env-var table, deployment guide, and src/interp/ layering are in sync with the tree"
 fi
 exit "$fail"
