@@ -54,7 +54,7 @@ int main() {
       baseline = task.Measure(task.space().IndexOf(topi::DefaultConfig(task.space())));
       std::printf("schedule space: %lld configs; untuned default: %.3f ms (%s)\n",
                   static_cast<long long>(task.size()), baseline * 1e3,
-                  task.measure_options().use_sim ? "sim model" : "wall-clock");
+                  task.use_sim() ? "sim model" : "wall-clock");
     }
   }
   std::printf("speedup over the untuned default (higher is better), by trials:\n\n");

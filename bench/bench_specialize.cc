@@ -5,9 +5,9 @@
 //     unrolling + constant folding collapses, plus invariant hoisting and strength
 //     reduction on the surviving input-channel loop.
 //   * scalar dense — invariant row offsets hoisted out of the k loop.
-//   * batched dense chain (the bench_serving dispatch-bound model, rebatched) — the
-//     per-element batch-offset adds introduced by RebatchGraph hoist to once per
-//     row, exercising the CompileOptions::specialize inheritance path.
+//   * batched dense chain — one layer of the bench_serving dispatch-bound dense
+//     chain at batch 8 (the shape its Rebatched() variant runs), lowered through
+//     topi with the default CPU schedule.
 //
 // Both variants run the same bytecode engine; only LoopSpecializeOptions differ
 // (Disabled() vs the default-constructed options). Rows land in BENCH_vm.json next to the vm_speedup
@@ -19,11 +19,8 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/graph/executor.h"
-#include "src/graph/graph.h"
 #include "src/interp/interp.h"
 #include "src/lower/lower.h"
-#include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
 #include "src/support/random.h"
 #include "src/topi/nn.h"
@@ -160,52 +157,49 @@ void BenchKernelSpecialize(const std::string& name, BuiltKernel k, int repeats) 
        {"peephole_removed", static_cast<double>(ss.peephole_removed)}});
 }
 
-// The bench_serving dispatch-bound dense chain, compiled with and without loop
-// specialization and rebatched: batched rows pay the RebatchGraph batch-offset adds
-// the hoister removes. Both models share bitwise-identical weights.
-std::shared_ptr<graph::CompiledGraph> MakeDenseChain(bool specialize) {
-  graph::Graph g;
-  int x = g.AddInput("data", {1, 8});
-  for (int l = 0; l < 4; ++l) {
-    int w = g.AddConst("w" + std::to_string(l), {8, 8});
-    x = g.AddOp("dense", "d" + std::to_string(l), {x, w});
-    x = g.AddOp("relu", "r" + std::to_string(l), {x});
+// One dense layer of the bench_serving chain (8 features in, 8 out) at batch 8,
+// with the default CPU schedule.
+BuiltKernel BuildBatchedDense() {
+  topi::OpWorkload wl;
+  wl.kind = "dense";
+  wl.n = 8;
+  wl.k = 8;
+  wl.oc = 8;
+  topi::BuiltOp built = topi::BuildOpCompute(wl);
+  Target cpu = Target::ArmA53();
+  Schedule s = topi::ApplyOpSchedule(wl, cpu, built,
+                                     topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu)));
+  BuiltKernel k;
+  k.func = Lower(s, built.Args(), "dense_batch8");
+  for (size_t i = 0; i < built.Args().size(); ++i) {
+    k.bufs.push_back(RandomBuf(NumElems(built.Args()[i]), DataType::Float32(), 20 + i));
   }
-  g.outputs = {x};
-  graph::CompileOptions options;
-  options.specialize = specialize ? LoopSpecializeOptions{}
-                                  : LoopSpecializeOptions::Disabled();
-  auto model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53(),
-                                                      options);
-  for (int l = 0; l < 4; ++l) {
-    model->SetParam("w" + std::to_string(l),
-                    NDArray::Random({8, 8}, DataType::Float32(),
-                                    static_cast<uint64_t>(10 + l)));
-  }
-  return model;
+  return k;
 }
 
-void BenchBatchedDenseChain(int repeats) {
-  const int batch = 8;
-  // Rebatched() inherits CompileOptions (including `specialize`) from the base
-  // model — the plumbing this row exists to exercise.
-  std::shared_ptr<graph::CompiledGraph> base = MakeDenseChain(false)->Rebatched(batch);
-  std::shared_ptr<graph::CompiledGraph> spec = MakeDenseChain(true)->Rebatched(batch);
-  NDArray input = NDArray::Random({batch, 8}, DataType::Float32(), 99);
+// The kernel runs for microseconds, so each timed sample is `iters` runs.
+void BenchBatchedDense(int repeats) {
+  BuiltKernel k = BuildBatchedDense();
+  std::vector<BufferBinding> bind = k.Bindings();
+  std::shared_ptr<const vm::Program> base =
+      vm::CompileToProgram(k.func, LoopSpecializeOptions::Disabled());
+  std::shared_ptr<const vm::Program> spec = vm::CompileToProgram(k.func);
+  if (base == nullptr || spec == nullptr) {
+    std::printf("batched_dense_chain: VM compile failed, skipping\n");
+    return;
+  }
   const int iters = bench::BenchSmokeMode() ? 200 : 2000;
-  auto run_many = [&](const std::shared_ptr<graph::CompiledGraph>& model) {
-    graph::RunContext ctx(model);
-    ctx.SetInput("data", input);
-    vm::ExecOptions serial;
-    serial.num_threads = 1;
+  vm::ExecOptions serial;
+  serial.num_threads = 1;
+  auto run_many = [&](const vm::Program& program) {
     for (int i = 0; i < iters; ++i) {
-      model->Run(&ctx, serial);
+      vm::Run(program, bind, serial);
     }
   };
-  double base_ms = bench::MeasureMs([&] { run_many(base); }, repeats);
-  double spec_ms = bench::MeasureMs([&] { run_many(spec); }, repeats);
+  double base_ms = bench::MeasureMs([&] { run_many(*base); }, repeats);
+  double spec_ms = bench::MeasureMs([&] { run_many(*spec); }, repeats);
   bench::PrintBenchJson("specialize_batched_dense_chain",
-                        {{"batch", batch},
+                        {{"batch", 8},
                          {"iters", static_cast<double>(iters)},
                          {"base_vm_ms", base_ms},
                          {"spec_vm_ms", spec_ms},
@@ -222,6 +216,6 @@ int main() {
   const int repeats = bench::BenchSmokeMode() ? 2 : 5;
   BenchKernelSpecialize("conv2d_3x3", BuildConv3x3(), repeats);
   BenchKernelSpecialize("dense_scalar", BuildScalarDense(), repeats);
-  BenchBatchedDenseChain(repeats);
+  BenchBatchedDense(repeats);
   return 0;
 }

@@ -158,7 +158,7 @@ RaceResult TuneRaceAndCache(const topi::OpWorkload& wl, const graph::Graph& g,
   std::printf("%s: %d trials over %lld configs, explorer best %.4g ms (%s)\n",
               task.CacheKey().c_str(), static_cast<int>(r.history.size()),
               static_cast<long long>(task.size()), r.best_seconds * 1e3,
-              task.measure_options().use_sim ? "sim model" : "wall-clock");
+              task.use_sim() ? "sim model" : "wall-clock");
 
   const topi::Config incumbent = untuned->chosen_configs().at(wl.Key());
 

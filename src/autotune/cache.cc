@@ -1,19 +1,25 @@
 #include "src/autotune/cache.h"
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "src/lower/lower.h"
 #include "src/support/failpoint.h"
 #include "src/support/logging.h"
 
 namespace tvmcpp {
 namespace autotune {
 
-std::string TuningKey(const topi::OpWorkload& wl, const Target& target,
-                      const LoopSpecializeOptions& spec) {
+std::string TuningKey(const topi::OpWorkload& wl, const Target& target) {
+  // The tuner measures programs compiled with the VM's default specialization, so
+  // the key names that config: should the default change, older entries miss
+  // instead of applying to differently compiled programs.
+  const LoopSpecializeOptions spec;
   std::string sig = "u" + std::to_string(spec.unroll_limit);
   sig += spec.hoist_invariants ? "_h1" : "_h0";
   sig += spec.strength_reduce ? "_s1" : "_s0";
@@ -163,9 +169,10 @@ bool TuningCache::Load(const std::string& path) {
   }
   std::fclose(in);
 
+  // Exact comparison: the header is outside input, so 1.9 is not version 1.
   double version = -1;
   if (lines.empty() || !FindNumberField(lines[0], "tvmcpp_tuning_cache", &version) ||
-      static_cast<int>(version) != kTuningCacheVersion) {
+      version != kTuningCacheVersion) {
     LOG(WARNING) << "tuning cache " << path << " has no version-"
                  << kTuningCacheVersion
                  << " header; ignoring it (untuned schedules)";
@@ -176,20 +183,21 @@ bool TuningCache::Load(const std::string& path) {
     TuningCacheEntry e;
     std::string hash_hex;
     double seconds = 0, trials = 0;
-    bool ok = FindStringField(lines[i], "key", &e.key) &&
-              FindStringField(lines[i], "hash", &hash_hex) &&
-              FindConfigField(lines[i], &e.config);
+    FindNumberField(lines[i], "seconds", &seconds);
+    FindNumberField(lines[i], "trials", &trials);
     // The stored hash must match the recomputed one: a truncated or bit-flipped
     // line fails here instead of poisoning compilation with a garbled config.
-    if (ok && hash_hex != HexOf(TuningKeyHash(e.key))) {
-      ok = false;
-    }
+    // seconds and trials are range-checked before the int conversion below, which
+    // is undefined out of range (NaN fails every comparison).
+    bool ok = FindStringField(lines[i], "key", &e.key) &&
+              FindStringField(lines[i], "hash", &hash_hex) &&
+              FindConfigField(lines[i], &e.config) &&
+              hash_hex == HexOf(TuningKeyHash(e.key)) && std::isfinite(seconds) &&
+              seconds >= 0 && trials >= 0 && trials <= INT_MAX;
     if (!ok) {
       ++skipped;
       continue;
     }
-    FindNumberField(lines[i], "seconds", &seconds);
-    FindNumberField(lines[i], "trials", &trials);
     e.seconds = seconds;
     e.trials = static_cast<int>(trials);
     Put(std::move(e));
@@ -306,15 +314,6 @@ TuningCache& GlobalTuningCache() {
     return c;
   }();
   return *cache;
-}
-
-void ReloadGlobalTuningCache() {
-  TuningCache& cache = GlobalTuningCache();
-  cache.Clear();
-  cache.ResetCounters();
-  if (const char* path = std::getenv("TVMCPP_TUNE_CACHE")) {
-    cache.Load(path);
-  }
 }
 
 }  // namespace autotune

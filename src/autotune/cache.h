@@ -2,12 +2,12 @@
 // it again (the "fleet warms its tuning cache from live traffic" story).
 //
 // Keys encode everything that changes which schedule config is best: the full
-// OpWorkload (op kind, shape, dtype, batch), the target, and the loop-
-// specialization config the measured programs were compiled with. The on-disk
-// form is a JSON-lines file (header line with a schema version, then one entry
-// per line) at the path named by TVMCPP_TUNE_CACHE; graph compilation consults
-// the process-wide GlobalTuningCache() on every master-workload lowering and
-// falls back to the untuned default config on a miss.
+// OpWorkload (op kind, shape, dtype, batch), the target, and the VM's default
+// loop-specialization config, which the measured programs were compiled with.
+// The on-disk form is a JSON-lines file (header line with a schema version, then
+// one entry per line) at the path named by TVMCPP_TUNE_CACHE; graph compilation
+// consults the process-wide GlobalTuningCache() on every master-workload
+// lowering and falls back to the untuned default config on a miss.
 //
 // Robustness contract (fail-points tune.cache_load / tune.cache_save): a
 // missing, corrupt, version-mismatched, or faulted cache file degrades to
@@ -22,7 +22,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "src/lower/lower.h"
 #include "src/runtime/target.h"
 #include "src/topi/schedules.h"
 
@@ -33,10 +32,9 @@ namespace autotune {
 inline constexpr int kTuningCacheVersion = 1;
 
 // Canonical cache key of one tuning point:
-//   <OpWorkload::Key()>@<target name>@<specialize signature>
+//   <OpWorkload::Key()>@<target name>@<signature of LoopSpecializeOptions{}>
 // e.g. "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1_s1_p1".
-std::string TuningKey(const topi::OpWorkload& wl, const Target& target,
-                      const LoopSpecializeOptions& spec);
+std::string TuningKey(const topi::OpWorkload& wl, const Target& target);
 
 // FNV-1a (64-bit) of the key string. Stable across processes and platforms —
 // stored with each entry so corrupt lines are detected, and asserted against a
@@ -61,8 +59,10 @@ class TuningCache {
 
   // Merges the file's entries over the current ones. Returns false — leaving
   // previously loaded entries untouched and logging a warning — when the file
-  // is missing, unreadable, version-mismatched, or fails the tune.cache_load
-  // fail-point; individually corrupt lines are skipped, not fatal.
+  // is missing, unreadable, has a header other than exactly kTuningCacheVersion,
+  // or fails the tune.cache_load fail-point. Individually corrupt lines (hash
+  // mismatch, or seconds/trials non-finite, negative or past INT_MAX) are
+  // skipped, not fatal.
   bool Load(const std::string& path);
   // Writes all entries (header first, entries sorted by key) via a temp file +
   // rename. Returns false with a warning on I/O failure or tune.cache_save.
@@ -93,9 +93,6 @@ bool ApplyCachedConfig(const topi::ConfigSpace& space, const topi::Config& cache
 // The process-wide cache graph compilation consults. Lazily loaded from the
 // TVMCPP_TUNE_CACHE file on first use (empty when the variable is unset).
 TuningCache& GlobalTuningCache();
-// Clears the global cache (and its counters) and re-reads TVMCPP_TUNE_CACHE.
-// For tests and for benches that write the cache file then want it consumed.
-void ReloadGlobalTuningCache();
 
 }  // namespace autotune
 }  // namespace tvmcpp

@@ -97,28 +97,15 @@ std::vector<double> ExtractFeatures(const ProgramStats& stats) {
   return f;
 }
 
-std::vector<double> ExtractFeatures(const LoweredFunc& func) {
-  return ExtractFeatures(AnalyzeProgram(func));
-}
-
-std::vector<double> ExtractFeaturesVm(const LoweredFunc& func,
-                                      const LoopSpecializeOptions& spec) {
+std::vector<double> ExtractFeaturesVm(const LoweredFunc& func) {
   // Mirror the vm::CompileToProgram lowering pipeline so the classic block
   // describes the loop nest that actually executes, not the pre-VM one.
-  Stmt body = func.body;
-  if (HasThreadIdxBinding(body)) {
-    body = SerializeThreadBlocks(body);
-  }
-  body = VectorizeLoop(body);
-  if (spec.unroll_limit > 0 || spec.hoist_invariants) {
-    body = SpecializeLoops(body, spec);
-  }
-  body = Simplify(body);
+  Stmt body = Simplify(SpecializeLoops(PrepareHostBody(func.body), {}));
   LoweredFunc specialized{func.name, func.args, body};
   std::vector<double> f = ExtractFeatures(AnalyzeProgram(specialized));
   f.resize(static_cast<size_t>(kFullFeatureDim), 0.0);
 
-  std::shared_ptr<const vm::Program> program = vm::CompileToProgram(func, spec);
+  std::shared_ptr<const vm::Program> program = vm::CompileToProgram(func);
   if (program == nullptr) {
     return f;  // VM block zeroed; feature [kFeatureDim] doubles as the flag
   }

@@ -8,7 +8,8 @@
 //   * the VM block (kVmFeatureDim): extracted from the *post*-specialization,
 //     *post*-vectorization TIR plus vm::GetProgramStats opcode counts of the
 //     compiled bytecode, so unroll / hoist / strength-reduction decisions shape
-//     the cost landscape the model learns (ExtractFeaturesVm). Sim-mode tasks
+//     the cost landscape the model learns (ExtractFeaturesVm, at the VM's
+//     default LoopSpecializeOptions, which tuning measures). Sim-mode tasks
 //     leave the VM block zeroed (the machine model analyzes pre-VM TIR).
 #ifndef SRC_AUTOTUNE_FEATURE_H_
 #define SRC_AUTOTUNE_FEATURE_H_
@@ -28,18 +29,14 @@ inline constexpr int kFullFeatureDim = kFeatureDim + kVmFeatureDim;
 // Extracts the classic kFeatureDim block from analyzed program stats.
 std::vector<double> ExtractFeatures(const ProgramStats& stats);
 
-// Convenience: analyze + extract (pre-specialization TIR, classic block only).
-std::vector<double> ExtractFeatures(const LoweredFunc& func);
-
 // VM-era extraction, kFullFeatureDim wide: mirrors the vm::CompileToProgram
-// pipeline (SerializeThreadBlocks when thread-bound, VectorizeLoop,
-// SpecializeLoops per `spec`, Simplify), analyzes the *specialized* loop nest
-// for the classic block, then compiles the bytecode program and appends its
-// opcode statistics. When the VM cannot compile the function the VM block stays
-// zeroed (flag feature 0) — the classic block still describes the specialized
-// nest the interpreter would run.
-std::vector<double> ExtractFeaturesVm(const LoweredFunc& func,
-                                      const LoopSpecializeOptions& spec);
+// pipeline at its default LoopSpecializeOptions (PrepareHostBody,
+// SpecializeLoops, Simplify), analyzes the *specialized* loop nest for the
+// classic block, then compiles the bytecode program and appends its opcode
+// statistics. When the VM cannot compile the function the VM block stays zeroed
+// (flag feature 0) — the classic block still describes the specialized nest the
+// interpreter would run.
+std::vector<double> ExtractFeaturesVm(const LoweredFunc& func);
 
 }  // namespace autotune
 }  // namespace tvmcpp

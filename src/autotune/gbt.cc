@@ -190,14 +190,5 @@ double GbtModel::Predict(const std::vector<double>& features) const {
   return p;
 }
 
-std::vector<double> GbtModel::PredictBatch(const std::vector<std::vector<double>>& x) const {
-  std::vector<double> out;
-  out.reserve(x.size());
-  for (const auto& f : x) {
-    out.push_back(Predict(f));
-  }
-  return out;
-}
-
 }  // namespace autotune
 }  // namespace tvmcpp

@@ -44,7 +44,6 @@ class GbtModel {
   void Update(const std::vector<std::vector<double>>& x, const std::vector<double>& y);
 
   double Predict(const std::vector<double>& features) const;
-  std::vector<double> PredictBatch(const std::vector<std::vector<double>>& x) const;
 
   bool trained() const { return !trees_.empty(); }
   int num_samples() const { return static_cast<int>(data_x_.size()); }

@@ -22,33 +22,31 @@ namespace autotune {
 
 namespace {
 
-// Only CPU-target programs execute natively on this host; GPU/accelerator codegen
-// runs serialized (SerializeThreadBlocks), so wall-clock there would rank configs
-// by an irrelevant machine. Those targets keep the sim model.
-MeasureOptions DefaultMeasure(const Target& target) {
-  MeasureOptions m;
-  m.use_sim = target.kind != TargetKind::kCpu;
-  return m;
-}
+// Real-mode timing: untimed runs before timing, then the minimum of the timed runs.
+constexpr int kWarmupRuns = 1;
+constexpr int kTimedRuns = 3;
+// Sim mode: relative spread of the deterministic per-config noise standing in
+// for measurement variance.
+constexpr double kSimNoise = 0.05;
+// Simulated annealing (kMlBased): walk length per batch, and parallel chains.
+constexpr int kSaSteps = 64;
+constexpr int kSaChains = 32;
 
 }  // namespace
 
-TuningTask::TuningTask(topi::OpWorkload wl, Target target, uint64_t seed,
-                       double noise_level)
-    : TuningTask(wl, target, DefaultMeasure(target), seed, noise_level) {}
-
-TuningTask::TuningTask(topi::OpWorkload wl, Target target, MeasureOptions measure,
-                       uint64_t seed, double noise_level)
+// Only CPU-target programs execute natively on this host; GPU/accelerator codegen
+// runs serialized (SerializeThreadBlocks), so wall-clock there would rank configs
+// by an irrelevant machine. Those targets keep the sim model.
+TuningTask::TuningTask(topi::OpWorkload wl, Target target, uint64_t seed)
     : wl_(std::move(wl)),
       target_(std::move(target)),
-      measure_(measure),
-      seed_(seed),
-      noise_level_(noise_level) {
+      use_sim_(target_.kind != TargetKind::kCpu),
+      seed_(seed) {
   space_ = topi::GetScheduleSpace(wl_, target_);
 }
 
 std::string TuningTask::CacheKey() const {
-  return TuningKey(wl_, target_, measure_.specialize);
+  return TuningKey(wl_, target_);
 }
 
 LoweredFunc TuningTask::LowerConfig(int64_t index) const {
@@ -111,8 +109,7 @@ void TuningTask::EnsureArgBuffers(const LoweredFunc& func) {
 
 double TuningTask::MeasureReal(int64_t index) {
   LoweredFunc func = LowerConfig(index);
-  std::shared_ptr<const vm::Program> program =
-      vm::CompileToProgram(func, measure_.specialize);
+  std::shared_ptr<const vm::Program> program = vm::CompileToProgram(func);
   EnsureArgBuffers(func);
   auto run_once = [&] {
     if (program != nullptr) {
@@ -126,11 +123,11 @@ double TuningTask::MeasureReal(int64_t index) {
   // Timed section: serialized across threads so parallel MeasureBatch callers
   // (which overlap the lower/compile above) cannot distort each other's clocks.
   std::lock_guard<std::mutex> timing(time_mu_);
-  for (int i = 0; i < measure_.warmup; ++i) {
+  for (int i = 0; i < kWarmupRuns; ++i) {
     run_once();
   }
   double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < std::max(1, measure_.repeats); ++i) {
+  for (int i = 0; i < kTimedRuns; ++i) {
     auto t0 = std::chrono::steady_clock::now();
     run_once();
     double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -150,7 +147,7 @@ double TuningTask::CostOf(int64_t index, bool with_noise) {
         return base;
       }
       Rng rng(seed_ * 1000003 + static_cast<uint64_t>(index));
-      return base * (1.0 + noise_level_ * rng.Normal());
+      return base * (1.0 + kSimNoise * rng.Normal());
     }
   }
   double seconds;
@@ -176,11 +173,11 @@ double TuningTask::CostOf(int64_t index, bool with_noise) {
     return seconds;
   }
   Rng rng(seed_ * 1000003 + static_cast<uint64_t>(index));
-  return seconds * (1.0 + noise_level_ * rng.Normal());
+  return seconds * (1.0 + kSimNoise * rng.Normal());
 }
 
 double TuningTask::Measure(int64_t index) {
-  if (measure_.use_sim) {
+  if (use_sim_) {
     return CostOf(index, true);
   }
   {
@@ -201,7 +198,7 @@ double TuningTask::Measure(int64_t index) {
 }
 
 double TuningTask::TrueCost(int64_t index) {
-  return measure_.use_sim ? CostOf(index, false) : Measure(index);
+  return use_sim_ ? CostOf(index, false) : Measure(index);
 }
 
 std::vector<double> TuningTask::Features(int64_t index) {
@@ -212,14 +209,14 @@ std::vector<double> TuningTask::Features(int64_t index) {
       return it->second;
     }
   }
-  if (measure_.use_sim) {
+  if (use_sim_) {
     CostOf(index, false);  // sim cost + features come from one lowering
     std::lock_guard<std::mutex> lock(mu_);
     return feature_cache_.at(index);
   }
   std::vector<double> features;
   try {
-    features = ExtractFeaturesVm(LowerConfig(index), measure_.specialize);
+    features = ExtractFeaturesVm(LowerConfig(index));
   } catch (const InternalError&) {
     features.assign(static_cast<size_t>(kFullFeatureDim), 0.0);
   }
@@ -278,7 +275,7 @@ int64_t Neighbor(const topi::ConfigSpace& space, int64_t index, Rng* rng) {
 // Parallel simulated annealing over the model's predicted score; returns up to `want`
 // distinct promising unvisited configs (Section 5.3).
 std::vector<int64_t> ExploreWithModel(TuningTask* task, const GbtModel& model,
-                                      std::vector<int64_t>* sa_state, int want, int steps,
+                                      std::vector<int64_t>* sa_state, int want,
                                       const std::unordered_set<int64_t>& visited, Rng* rng) {
   const topi::ConfigSpace& space = task->space();
   auto score = [&](int64_t idx) { return model.Predict(task->Features(idx)); };
@@ -298,7 +295,7 @@ std::vector<int64_t> ExploreWithModel(TuningTask* task, const GbtModel& model,
     }
   };
   double temperature = 1.0;
-  for (int step = 0; step < steps; ++step) {
+  for (int step = 0; step < kSaSteps; ++step) {
     for (size_t i = 0; i < sa_state->size(); ++i) {
       int64_t proposal = Neighbor(space, (*sa_state)[i], rng);
       double sc = score(proposal);
@@ -375,7 +372,7 @@ TuneResult Tune(TuningTask* task, TunerKind kind, const TuneOptions& options) {
   // Trial 0: the untuned default. The search's best can then never lose to what
   // compilation would pick on a cache miss, and the model starts from the one
   // config every production run has already implicitly measured.
-  if (options.include_default && options.num_trials > 0 && space_size > 0) {
+  if (options.num_trials > 0 && space_size > 0) {
     int64_t default_idx = task->space().IndexOf(topi::DefaultConfig(task->space()));
     double seconds = MeasureBatch(task, {default_idx}, options)[0];
     record(default_idx, seconds);
@@ -445,13 +442,12 @@ TuneResult Tune(TuningTask* task, TunerKind kind, const TuneOptions& options) {
           }
         } else {
           if (sa_state.empty()) {
-            for (int i = 0; i < options.sa_parallel; ++i) {
+            for (int i = 0; i < kSaChains; ++i) {
               sa_state.push_back(
                   static_cast<int64_t>(rng.Uniform(static_cast<uint64_t>(space_size))));
             }
           }
-          batch = ExploreWithModel(task, model, &sa_state, want, options.sa_steps, visited,
-                                   &rng);
+          batch = ExploreWithModel(task, model, &sa_state, want, visited, &rng);
         }
         break;
       }
@@ -474,20 +470,6 @@ TuneResult Tune(TuningTask* task, TunerKind kind, const TuneOptions& options) {
     if (kind == TunerKind::kMlBased) {
       model.Fit(train_x, train_y);  // periodic refit on all collected data
     }
-  }
-  return result;
-}
-
-TuneResult TuneToCache(TuningTask* task, TunerKind kind, const TuneOptions& options,
-                       TuningCache* cache) {
-  TuneResult result = Tune(task, kind, options);
-  if (cache != nullptr && result.best_config >= 0) {
-    TuningCacheEntry entry;
-    entry.key = task->CacheKey();
-    entry.config = task->space().At(result.best_config);
-    entry.seconds = result.best_seconds;
-    entry.trials = static_cast<int>(result.history.size());
-    cache->Put(std::move(entry));
   }
   return result;
 }

@@ -7,13 +7,13 @@
 //   * kRandom  — uniform random search
 //   * kGenetic — blackbox genetic algorithm (tournament selection + crossover + mutation)
 //
-// Measurement modes (MeasureOptions): CPU targets default to *real* measurement —
-// the config's schedule is lowered, compiled to bytecode with the task's
-// loop-specialization options, and timed wall-clock (warmup + min-of-k repeats,
-// deterministic inputs). GPU/accelerator targets, whose codegen only executes
-// serialized on this host, keep the src/sim machine-model cost; a caller passing
-// MeasureOptions with use_sim = true forces the model everywhere (the fast
-// deterministic path).
+// The target decides how a config is measured. CPU targets time it for real: the
+// config's schedule is lowered, compiled to bytecode with the VM's default loop
+// specialization, and timed wall-clock (1 untimed warmup run, then the minimum of 3
+// timed runs, on deterministic inputs), with kParallel loops chunked at
+// vm::DefaultNumThreads() on the process-wide worker pool. GPU/accelerator
+// targets, whose codegen only executes serialized on this host, use the src/sim
+// machine-model cost with 5% deterministic per-config noise.
 #ifndef SRC_AUTOTUNE_TUNER_H_
 #define SRC_AUTOTUNE_TUNER_H_
 
@@ -25,6 +25,7 @@
 
 #include "src/autotune/cache.h"
 #include "src/autotune/gbt.h"
+#include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
 #include "src/topi/schedules.h"
@@ -35,32 +36,17 @@ class ThreadPool;  // src/runtime/threadpool.h
 
 namespace autotune {
 
-// How a TuningTask turns a config index into seconds.
-struct MeasureOptions {
-  // Cost configs on the src/sim machine model (plus deterministic noise standing
-  // in for measurement variance) instead of timing real vm::Program runs.
-  bool use_sim = true;
-  int warmup = 1;   // real mode: untimed runs before timing
-  int repeats = 3;  // real mode: timed runs, minimum taken
-  // Specialization config the measured programs are compiled with. Part of the
-  // tuning-cache key: a config tuned with unrolling on may lose without it.
-  LoopSpecializeOptions specialize;
-};
-
 // A single-operator tuning task: workload + target + schedule space + measurer.
 class TuningTask {
  public:
-  // Default MeasureOptions, with use_sim = false for CPU targets (real
-  // measurement) and true for GPU / accelerator targets.
-  TuningTask(topi::OpWorkload wl, Target target, uint64_t seed = 7,
-             double noise_level = 0.05);
-  TuningTask(topi::OpWorkload wl, Target target, MeasureOptions measure,
-             uint64_t seed = 7, double noise_level = 0.05);
+  TuningTask(topi::OpWorkload wl, Target target, uint64_t seed = 7);
 
   const topi::ConfigSpace& space() const { return space_; }
   const topi::OpWorkload& workload() const { return wl_; }
   const Target& target() const { return target_; }
-  const MeasureOptions& measure_options() const { return measure_; }
+  // True when configs are costed on the sim machine model (non-CPU targets)
+  // rather than timed.
+  bool use_sim() const { return use_sim_; }
 
   // Seconds for a config. Real mode: wall-clock best-of-repeats of the compiled
   // program on deterministic inputs (lower/compile may run concurrently; the
@@ -76,8 +62,7 @@ class TuningTask {
   // triggers a timed run. Thread safe; cached.
   std::vector<double> Features(int64_t config_index);
 
-  // The persistent-cache key of this task (TuningKey over workload, target, and
-  // the measurement specialize config).
+  // The persistent-cache key of this task: TuningKey(workload, target).
   std::string CacheKey() const;
 
   int64_t size() const { return space_.size(); }
@@ -91,9 +76,8 @@ class TuningTask {
   topi::OpWorkload wl_;
   Target target_;
   topi::ConfigSpace space_;
-  MeasureOptions measure_;
+  const bool use_sim_;
   uint64_t seed_;
-  double noise_level_;
   std::mutex mu_;       // caches + buffer init
   std::mutex time_mu_;  // serializes warmup + timed runs
   std::unordered_map<int64_t, double> cost_cache_;
@@ -122,22 +106,14 @@ struct TuneOptions {
   int batch_size = 16;
   uint64_t seed = 1;
   GbtObjective objective = GbtObjective::kRank;
-  int sa_steps = 64;       // simulated-annealing walk length per batch
-  int sa_parallel = 32;    // parallel annealing chains
-  // Measure the untuned default config as trial 0, so the tuner's best is never
-  // worse than what compilation would pick on a cache miss.
-  bool include_default = true;
   // Worker pool for MeasureBatch: trials lower/compile concurrently (real-mode
   // timed sections still serialize inside the task). nullptr = sequential.
   ThreadPool* workers = nullptr;
 };
 
+// Searches the task's space. Trial 0 is always the untuned default config, so the
+// best found is never worse than what compilation would pick on a cache miss.
 TuneResult Tune(TuningTask* task, TunerKind kind, const TuneOptions& options);
-
-// Tune, then record the winner in `cache` under task->CacheKey() (no-op when
-// `cache` is null or tuning found nothing). The caller persists via Save().
-TuneResult TuneToCache(TuningTask* task, TunerKind kind, const TuneOptions& options,
-                       TuningCache* cache);
 
 }  // namespace autotune
 }  // namespace tvmcpp

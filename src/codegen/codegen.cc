@@ -1010,11 +1010,7 @@ CSource EmitC(const LoweredFunc& func) {
   // The VM's preprocessing pipeline (CompileToProgram) minus SpecializeLoops: each
   // pass is bitwise-neutral, so the three tiers execute the same program, and the
   // unrolling and hoisting SpecializeLoops does for the VM `cc -O2` does here.
-  if (HasThreadIdxBinding(body)) {
-    body = SerializeThreadBlocks(body);
-  }
-  body = VectorizeLoop(body);
-  body = Simplify(body);
+  body = Simplify(PrepareHostBody(body));
 
   CEmitter emitter;
   std::string fn_body = emitter.EmitFunc(func, body);

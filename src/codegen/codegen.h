@@ -1,7 +1,7 @@
 // Tier-2 AOT backend, part 1: TIR -> C pretty-printer.
 //
 // EmitC lowers a LoweredFunc body through the VM's preprocessing pipeline minus loop
-// specialization (SerializeThreadBlocks / VectorizeLoop / Simplify; the unrolling and
+// specialization (PrepareHostBody, then Simplify; the unrolling and
 // hoisting SpecializeLoops does for the VM, `cc -O2` does here) and pretty-prints
 // the result as a self-contained C function over the interpreter's widened buffer
 // layout (float16 stored as float, int8 as int8_t, ...):

@@ -48,15 +48,14 @@ namespace {
 // compiled eagerly rather than on the first native miss — plus, under native, every
 // function emitted into one C translation unit and built as a single .so (one
 // compiler invocation, one dlopen'd module kept alive by every kernel's shared_ptr).
-void CompileTiers(ExecEngine engine, const LoopSpecializeOptions& spec,
-                  const std::vector<TieredFunc*>& fns) {
+void CompileTiers(ExecEngine engine, const std::vector<TieredFunc*>& fns) {
   if (engine == ExecEngine::kInterp) {
     return;
   }
   std::vector<const LoweredFunc*> funcs;
   funcs.reserve(fns.size());
   for (TieredFunc* f : fns) {
-    f->program = vm::CompileToProgram(f->func, spec);
+    f->program = vm::CompileToProgram(f->func);
     funcs.push_back(&f->func);
   }
   if (engine == ExecEngine::kNative) {
@@ -218,8 +217,8 @@ void CompiledGraph::Compile() {
         }
         if (options_.use_tuning_cache) {
           autotune::TuningCacheEntry entry;
-          if (autotune::GlobalTuningCache().Lookup(
-                  autotune::TuningKey(wl, target_, options_.specialize), &entry)) {
+          if (autotune::GlobalTuningCache().Lookup(autotune::TuningKey(wl, target_),
+                                                   &entry)) {
             topi::Config validated;
             if (autotune::ApplyCachedConfig(space, entry.config, &validated)) {
               config = std::move(validated);
@@ -261,14 +260,13 @@ void CompiledGraph::Compile() {
     kernels_.push_back(std::move(k));
   }
 
-  // Compiled once, reused by every Run(); loop specialization per the model's
-  // (possibly inherited) CompileOptions rather than the process environment.
+  // Compiled once, reused by every Run().
   std::vector<TieredFunc*> fns;
   fns.reserve(kernels_.size());
   for (Kernel& k : kernels_) {
     fns.push_back(&k);
   }
-  CompileTiers(GetExecEngine(), options_.specialize, fns);
+  CompileTiers(GetExecEngine(), fns);
 }
 
 void CompiledGraph::AllocateBuffers(std::unordered_map<int, NDArray>* values) const {
@@ -414,7 +412,7 @@ void RunLowered(const LoweredFunc& func, const std::vector<BufferBinding>& args)
   const ExecEngine engine = GetExecEngine();
   graph::TieredFunc f;
   f.func = func;
-  graph::CompileTiers(engine, {}, {&f});
+  graph::CompileTiers(engine, {&f});
   graph::RunTiers(engine, f, args, {});
 }
 

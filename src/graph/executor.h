@@ -75,11 +75,6 @@ struct CompileOptions {
   // base model's chosen configs remapped to batch-N keys here, so batch variants
   // keep the base schedules unless the cache knows something batch-specific.
   const TunedConfigs* inherited = nullptr;
-  // VM loop-specialization config used when compiling each fused kernel's bytecode
-  // program. Carried by value so Rebatched() variants inherit the base model's
-  // setting — batched rows get the same unroll/hoist treatment (notably the hoisted
-  // batch-offset adds).
-  LoopSpecializeOptions specialize;
 };
 
 // One lowered function with the tiers compiled for it once, before any run: the

@@ -10,7 +10,9 @@
 //      barrier injection for shared scopes, and tensorization (Section 4.3)
 //   4. simplification
 //
-// Post passes (target dependent): UnrollLoops, InjectVirtualThreads (Section 4.4).
+// Post passes (target dependent): InjectVirtualThreads (Section 4.4). The host
+// tiers then run PrepareHostBody, and the VM also SpecializeLoops, which expands
+// unroll()-annotated loops.
 #ifndef SRC_LOWER_LOWER_H_
 #define SRC_LOWER_LOWER_H_
 
@@ -45,10 +47,6 @@ struct LoweredFunc {
 LoweredFunc Lower(const Schedule& sch, const std::vector<Tensor>& args,
                   const std::string& name);
 
-// Expands kUnrolled loops with constant extent <= max_extent into straight-line code.
-// (Implemented in src/lower/unroll.cc with the rest of the unrolling machinery.)
-Stmt UnrollLoops(const Stmt& s, int64_t max_extent = 16);
-
 // --- Loop specialization (src/lower/unroll.cc) -------------------------------------
 // Engine-side compile-time specialization applied by the VM compiler before bytecode
 // generation (see CompileToProgram): full unrolling of small fixed-extent innermost
@@ -80,6 +78,7 @@ struct LoopSpecializeStats {
 
 // Runs the IR-level specialization pipeline: unroll-and-fold, then invariant
 // hoisting (in that order — a collapsed small nest exposes its parent as innermost).
+// Innermost unroll()-annotated loops are expanded here too, by the same rule.
 Stmt SpecializeLoops(const Stmt& s, const LoopSpecializeOptions& opts,
                      LoopSpecializeStats* stats = nullptr);
 
@@ -110,6 +109,12 @@ Stmt InjectVirtualThreads(const Stmt& s);
 // the execution engines (src/vm compile, vector-aware interpretation); the machine
 // models (src/sim) analyze the pre-vectorization loop nest.
 Stmt VectorizeLoop(const Stmt& s);
+
+// The preparation every host tier shares (the VM compiler, the native C emitter and
+// the cost model's VM features): SerializeThreadBlocks when the body binds threadIdx
+// loops, then VectorizeLoop. Both steps are bitwise-neutral. The reference
+// interpreter serializes only.
+Stmt PrepareHostBody(const Stmt& s);
 
 // True when chunking the iterations of the kParallel loop `loop` across workers
 // could race (src/lower/parallel.cc): its body writes a buffer that is neither one

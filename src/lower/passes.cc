@@ -424,4 +424,9 @@ bool HasThreadIdxBinding(const Stmt& s) {
   return found;
 }
 
+Stmt PrepareHostBody(const Stmt& s) {
+  Stmt body = HasThreadIdxBinding(s) ? SerializeThreadBlocks(s) : s;
+  return VectorizeLoop(body);
+}
+
 }  // namespace tvmcpp

@@ -4,12 +4,11 @@
 // cost on exactly the loops the schedules worked hardest to shape. This file removes
 // that cost ahead of bytecode compilation:
 //
-//   * UnrollLoops       — expands schedule-requested ForType::kUnrolled loops
-//                         (moved here from passes.cc).
 //   * SpecializeLoops   — the engine-side pipeline (applied by the VM compiler):
 //       1. fully unrolls *innermost* serial/unrolled loops whose constant extent is
 //          <= LoopSpecializeOptions::unroll_limit, constant-folding the
-//          resulting constant indices through Simplify;
+//          resulting constant indices through Simplify (this is also what expands
+//          schedule-requested ForType::kUnrolled loops);
 //       2. hoists subexpressions invariant in the innermost loop — pure integer
 //          index arithmetic such as the row offsets of a dense kernel or the
 //          batch-offset adds introduced by RebatchGraph — into LetStmt bindings
@@ -37,43 +36,6 @@
 namespace tvmcpp {
 
 namespace {
-
-// Shared expansion body: one simplified copy of `body` per iteration value, in
-// original order, the loop variable substituted by its constant.
-Stmt ExpandConstLoop(const ForNode* n, int64_t min_v, int64_t extent) {
-  std::vector<Stmt> unrolled;
-  unrolled.reserve(static_cast<size_t>(extent));
-  for (int64_t i = 0; i < extent; ++i) {
-    VarMap vmap{{n->loop_var.get(), make_int(min_v + i)}};
-    unrolled.push_back(Simplify(Substitute(n->body, vmap)));
-  }
-  return seq(std::move(unrolled));
-}
-
-// Schedule-requested unrolling: expands kUnrolled loops (moved from passes.cc so all
-// unrolling machinery lives in one place).
-class Unroller : public StmtMutator {
- public:
-  explicit Unroller(int64_t max_extent) : max_extent_(max_extent) {}
-
- protected:
-  Stmt MutateFor(const ForNode* op, const Stmt& s) override {
-    Stmt base = StmtMutator::MutateFor(op, s);
-    const auto* n = static_cast<const ForNode*>(base.get());
-    if (n->for_type != ForType::kUnrolled) {
-      return base;
-    }
-    int64_t extent, min_v;
-    if (!is_const_int(n->extent, &extent) || !is_const_int(n->min, &min_v) ||
-        extent > max_extent_) {
-      return base;
-    }
-    return ExpandConstLoop(n, min_v, extent);
-  }
-
- private:
-  int64_t max_extent_;
-};
 
 // Number of primitive statements (stores, evaluates) in a subtree: the unroll size
 // guard multiplies this by the extent to bound code growth.
@@ -127,7 +89,15 @@ class InnerLoopUnroller : public StmtMutator {
       return base;
     }
     ++*count_;
-    return ExpandConstLoop(n, min_v, extent);
+    // One simplified copy of the body per iteration value, in original order, the
+    // loop variable substituted by its constant.
+    std::vector<Stmt> unrolled;
+    unrolled.reserve(static_cast<size_t>(extent));
+    for (int64_t i = 0; i < extent; ++i) {
+      VarMap vmap{{n->loop_var.get(), make_int(min_v + i)}};
+      unrolled.push_back(Simplify(Substitute(n->body, vmap)));
+    }
+    return seq(std::move(unrolled));
   }
 
  private:
@@ -505,11 +475,6 @@ class InvariantHoister : public StmtMutator {
 };
 
 }  // namespace
-
-Stmt UnrollLoops(const Stmt& s, int64_t max_extent) {
-  Unroller u(max_extent);
-  return u.MutateStmt(s);
-}
 
 LoopSpecializeOptions LoopSpecializeOptions::Disabled() {
   LoopSpecializeOptions opts;

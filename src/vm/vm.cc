@@ -2368,14 +2368,10 @@ std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
   if (body == nullptr) {
     return nullptr;
   }
-  if (HasThreadIdxBinding(body)) {
-    // Cooperative (barrier-synchronized) programs need block-synchronous serialization,
-    // exactly as the reference interpreter does before execution.
-    body = SerializeThreadBlocks(body);
-  }
-  // Materialize kVectorized loops as vector IR so they compile to SIMD opcodes
-  // (loops the pass bails on stay serial, preserving the old semantics).
-  body = VectorizeLoop(body);
+  // Block-synchronous serialization of cooperative programs, and kVectorized loops
+  // materialized as vector IR so they compile to SIMD opcodes (loops the pass bails
+  // on stay serial).
+  body = PrepareHostBody(body);
   // Loop specialization (src/lower/unroll.cc): unroll small fixed-extent innermost
   // loops and hoist invariant index arithmetic. Bitwise-neutral by construction;
   // the final Simplify folds the constant indices the unroller exposed.

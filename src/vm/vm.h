@@ -35,12 +35,15 @@ namespace vm {
 
 struct Program;  // defined in vm.cc; opaque to callers
 
-// Compiles `func` into bytecode. kVectorized loops are materialized first via
-// VectorizeLoop and execute as SIMD vector opcodes over a vector register file;
-// SpecializeLoops then unrolls/hoists per `spec` (src/lower/unroll.cc), and the
-// bytecode compiler applies strength reduction and the peephole pass. Returns
-// nullptr when the body contains a construct the VM does not support (unknown
-// intrinsics, ...); callers should then fall back to RunLoweredInterp.
+// Compiles `func` into bytecode. PrepareHostBody first serializes cooperative
+// thread blocks and materializes kVectorized loops, which execute as SIMD vector
+// opcodes over a vector register file; SpecializeLoops then unrolls/hoists per
+// `spec` (src/lower/unroll.cc), and the bytecode compiler applies strength
+// reduction and the peephole pass. Returns nullptr when the body contains a
+// construct the VM does not support (unknown intrinsics, ...); callers should then
+// fall back to RunLoweredInterp. Every compile in the library uses the default
+// `spec` (so does the tuning-cache key); LoopSpecializeOptions::Disabled() is the
+// unspecialized baseline tests and benches compare against.
 std::shared_ptr<const Program> CompileToProgram(const LoweredFunc& func,
                                                 const LoopSpecializeOptions& spec = {});
 

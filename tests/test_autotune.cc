@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,7 @@ TEST(Gbt, RankObjectivePreservesOrder) {
 TEST(Tuner, FindsGoodConfigOnConv) {
   topi::OpWorkload wl{"conv2d", 1, 14, 14, 32, 64, 3, 1, 1};
   TuningTask task(wl, Target::TitanX(), /*seed=*/9);
-  ASSERT_TRUE(task.measure_options().use_sim) << "GPU tasks must stay on the model";
+  ASSERT_TRUE(task.use_sim()) << "GPU tasks must stay on the model";
   TuneOptions opt;
   opt.num_trials = 64;
   opt.batch_size = 16;
@@ -151,7 +152,7 @@ TEST(Tuner, DefaultConfigIsTrialZero) {
 TEST(Measure, RealTimingOnCpuDense) {
   topi::OpWorkload wl{"dense", 4, 1, 1, 1, 32, 32, 1, 0};
   TuningTask task(wl, Target::ArmA53(), /*seed=*/11);
-  ASSERT_FALSE(task.measure_options().use_sim)
+  ASSERT_FALSE(task.use_sim())
       << "CPU tasks must default to measuring real programs";
   TuneOptions opt;
   opt.num_trials = 8;
@@ -177,9 +178,10 @@ TEST(Feature, DistinctConfigsProduceDistinctFeatures) {
   EXPECT_NE(f0, f1);
 }
 
-// The VM feature block must react to specialization decisions: the same lowered
-// function featurized with specialization on vs off yields different vectors
-// (unroll/hoist/strength-reduction change the opcode mix the model learns from).
+// The VM feature block must react to specialization decisions: its pass-effect
+// features are the log-scaled fire counters of the program the VM compiles by
+// default (unroll/hoist/strength-reduction change the opcode mix the model
+// learns from).
 TEST(Feature, VmBlockRespondsToSpecialization) {
   topi::OpWorkload wl{"dense", 4, 1, 1, 1, 16, 16, 1, 0};
   topi::BuiltOp built = topi::BuildOpCompute(wl);
@@ -187,13 +189,22 @@ TEST(Feature, VmBlockRespondsToSpecialization) {
   Schedule s = topi::ApplyOpSchedule(wl, Target::ArmA53(), built,
                                      topi::DefaultConfig(space));
   LoweredFunc f = Lower(s, built.Args(), "dense_feature_probe");
-  LoopSpecializeOptions on;  // defaults: unroll 8, hoist, strength-reduce, peephole
-  std::vector<double> with_spec = ExtractFeaturesVm(f, on);
-  std::vector<double> without_spec = ExtractFeaturesVm(f, LoopSpecializeOptions::Disabled());
-  ASSERT_EQ(with_spec.size(), static_cast<size_t>(kFullFeatureDim));
-  ASSERT_EQ(with_spec[kFeatureDim], 1.0);
-  ASSERT_EQ(without_spec[kFeatureDim], 1.0);
-  EXPECT_NE(with_spec, without_spec);
+  std::vector<double> features = ExtractFeaturesVm(f);
+  ASSERT_EQ(features.size(), static_cast<size_t>(kFullFeatureDim));
+  ASSERT_EQ(features[kFeatureDim], 1.0);
+  std::shared_ptr<const vm::Program> program = vm::CompileToProgram(f);
+  ASSERT_NE(program, nullptr);
+  vm::ProgramStats ps = vm::GetProgramStats(*program);
+  const int pass_effects[] = {ps.unrolled_loops, ps.hoisted_lets, ps.csed_muls,
+                              ps.strength_reduced, ps.peephole_removed};
+  int fired = 0;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(features[static_cast<size_t>(kFeatureDim + 8 + i)],
+              std::log2(1.0 + static_cast<double>(pass_effects[i])))
+        << "pass-effect feature " << i;
+    fired += pass_effects[i];
+  }
+  EXPECT_GT(fired, 0) << "no specialization pass fired on the probe";
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ topi::Config ExtremeConfig(const topi::ConfigSpace& space) {
 TEST(TuningCache, SaveLoadRoundTripPreservesScheduleChoice) {
   topi::OpWorkload wl = DenseWl();
   topi::ConfigSpace space = topi::GetScheduleSpace(wl, Target::ArmA53());
-  std::string key = TuningKey(wl, Target::ArmA53(), LoopSpecializeOptions{});
+  std::string key = TuningKey(wl, Target::ArmA53());
 
   TuningCache out;
   TuningCacheEntry e;
@@ -264,14 +275,22 @@ TEST(TuningCache, SaveLoadRoundTripPreservesScheduleChoice) {
 // with a cache version bump if the schema ever changes deliberately.
 TEST(TuningCache, KeyStableAcrossProcesses) {
   topi::OpWorkload wl = DenseWl();
-  LoopSpecializeOptions spec;  // u8, hoist, strength-reduce, peephole
-  std::string key = TuningKey(wl, Target::ArmA53(), spec);
+  std::string key = TuningKey(wl, Target::ArmA53());
   EXPECT_EQ(key, "dense_n16_h1_w1_ic1_oc256_k256_s1_p0_float32@arm_cpu@u8_h1_s1_p1");
   EXPECT_EQ(TuningKeyHash(key), 0xf096fdae7b7dce47ULL);
   // The batch dimension is part of the key: batch-N variants tune independently.
-  EXPECT_NE(TuningKey(DenseWl(64), Target::ArmA53(), spec), key);
-  // So is the specialization config.
-  EXPECT_NE(TuningKey(wl, Target::ArmA53(), LoopSpecializeOptions::Disabled()), key);
+  EXPECT_NE(TuningKey(DenseWl(64), Target::ArmA53()), key);
+}
+
+// One cache-file entry line in the writer's format, with a correct key hash and
+// the given seconds and trials spelled verbatim.
+std::string EntryLine(const std::string& key, const std::string& seconds,
+                      const std::string& trials) {
+  char hash[32];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(TuningKeyHash(key)));
+  return "{\"key\": \"" + key + "\", \"hash\": \"" + hash + "\", \"seconds\": " +
+         seconds + ", \"trials\": " + trials + ", \"config\": {\"tile_x\": 4}}\n";
 }
 
 TEST(TuningCache, VersionMismatchAndCorruptionFallBackEmpty) {
@@ -310,7 +329,7 @@ TEST(TuningCache, VersionMismatchAndCorruptionFallBackEmpty) {
   // Valid header but one bit-flipped entry (hash mismatch): the corrupt line is
   // skipped, intact lines still load.
   topi::OpWorkload wl = DenseWl();
-  std::string good_key = TuningKey(wl, Target::ArmA53(), LoopSpecializeOptions{});
+  std::string good_key = TuningKey(wl, Target::ArmA53());
   TuningCache out;
   TuningCacheEntry e;
   e.key = good_key;
@@ -329,6 +348,46 @@ TEST(TuningCache, VersionMismatchAndCorruptionFallBackEmpty) {
   EXPECT_TRUE(c4.Load(path));
   EXPECT_EQ(c4.size(), 1u);
   EXPECT_TRUE(c4.Lookup(good_key, nullptr));
+  std::remove(path.c_str());
+
+  // A header that only truncates to the version is not that version.
+  path = TempPath("tune_cache_fractional_version.json");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "{\"tvmcpp_tuning_cache\": 1.9}\n%s",
+                 EntryLine(good_key, "1e-05", "64").c_str());
+    std::fclose(f);
+  }
+  TuningCache c5;
+  EXPECT_FALSE(c5.Load(path));
+  EXPECT_EQ(c5.size(), 0u);
+  std::remove(path.c_str());
+
+  // Entries with a correct hash but seconds or trials that are non-finite,
+  // negative, or (for trials) past INT_MAX are corrupt: skipped, never converted.
+  path = TempPath("tune_cache_out_of_range.json");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "{\"tvmcpp_tuning_cache\": 1}\n%s",
+                 EntryLine(good_key, "1e-05", "64").c_str());
+    const char* bad[][2] = {{"1e-05", "1e300"}, {"1e-05", "-1"}, {"1e-05", "nan"},
+                            {"1e-05", "2147483648"}, {"inf", "64"}, {"-1", "64"},
+                            {"nan", "64"}};
+    int n = 0;
+    for (const auto& b : bad) {
+      std::fprintf(f, "%s",
+                   EntryLine("bad" + std::to_string(n++), b[0], b[1]).c_str());
+    }
+    std::fclose(f);
+  }
+  TuningCache c6;
+  EXPECT_TRUE(c6.Load(path));
+  EXPECT_EQ(c6.size(), 1u);
+  TuningCacheEntry got;
+  ASSERT_TRUE(c6.Lookup(good_key, &got));
+  EXPECT_EQ(got.trials, 64);
   std::remove(path.c_str());
 }
 
@@ -399,7 +458,7 @@ void ExpectBitwiseEqual(const NDArray& a, const NDArray& b, const std::string& w
 
 TEST(TuningCache, CompileConsultsGlobalCache) {
   ScopedCleanGlobalCache clean;
-  graph::CompileOptions opts;  // default specialize, like production compiles
+  graph::CompileOptions opts;
   graph::Graph g = DenseGraph(1);
   graph::GraphExecutor probe(DenseGraph(1), Target::ArmA53(), opts);
   ASSERT_EQ(probe.workloads().size(), 1u);
@@ -415,7 +474,7 @@ TEST(TuningCache, CompileConsultsGlobalCache) {
 
   // Hit: the cached config wins over the default.
   TuningCacheEntry e;
-  e.key = TuningKey(wl, Target::ArmA53(), opts.specialize);
+  e.key = TuningKey(wl, Target::ArmA53());
   e.config = tuned_cfg;
   GlobalTuningCache().Put(e);
   graph::GraphExecutor tuned(DenseGraph(1), Target::ArmA53(), opts);
@@ -437,6 +496,27 @@ TEST(TuningCache, CompileConsultsGlobalCache) {
   EXPECT_EQ(untouched.compiled()->num_cache_tuned_kernels(), 0);
   EXPECT_EQ(untouched.compiled()->chosen_configs().at(wl.Key()),
             topi::DefaultConfig(space));
+}
+
+// Tuning and compilation agree on the key: an entry stored under a CPU task's
+// CacheKey() is the one compiling the same workload reads.
+TEST(TuningCache, TaskKeyIsTheKeyCompileReads) {
+  ScopedCleanGlobalCache clean;
+  graph::GraphExecutor probe(DenseGraph(1), Target::ArmA53());
+  ASSERT_EQ(probe.workloads().size(), 1u);
+  TuningTask task(probe.workloads()[0], Target::ArmA53());
+  ASSERT_FALSE(task.use_sim());
+  topi::Config extreme = ExtremeConfig(task.space());
+  ASSERT_NE(task.space().IndexOf(extreme),
+            task.space().IndexOf(topi::DefaultConfig(task.space())));
+
+  TuningCacheEntry e;
+  e.key = task.CacheKey();
+  e.config = extreme;
+  GlobalTuningCache().Put(e);
+  graph::GraphExecutor tuned(DenseGraph(1), Target::ArmA53());
+  EXPECT_EQ(tuned.compiled()->num_cache_tuned_kernels(), 1);
+  EXPECT_EQ(tuned.compiled()->chosen_configs().at(task.workload().Key()), extreme);
 }
 
 // The differential pin: a cache-tuned compile must produce bitwise-identical
@@ -464,7 +544,7 @@ TEST(TuningCache, TunedBitwiseEqualUntunedStrict) {
     graph::GraphExecutor probe(DenseGraph(1), Target::ArmA53(), opts);
     topi::OpWorkload wl = probe.workloads()[0];
     TuningCacheEntry e;
-    e.key = TuningKey(wl, Target::ArmA53(), opts.specialize);
+    e.key = TuningKey(wl, Target::ArmA53());
     e.config = ExtremeConfig(topi::GetScheduleSpace(wl, Target::ArmA53()));
     GlobalTuningCache().Put(e);
     NDArray tuned = run_model(DenseGraph(1), in, w, opts);
@@ -490,7 +570,7 @@ TEST(TuningCache, TunedBitwiseEqualUntunedStrict) {
     graph::GraphExecutor probe(clone(), Target::ArmA53(), opts);
     topi::OpWorkload wl = probe.workloads()[0];
     TuningCacheEntry e;
-    e.key = TuningKey(wl, Target::ArmA53(), opts.specialize);
+    e.key = TuningKey(wl, Target::ArmA53());
     e.config = ExtremeConfig(topi::GetScheduleSpace(wl, Target::ArmA53()));
     GlobalTuningCache().Put(e);
     NDArray tuned = run_model(clone(), in, wv, opts);
@@ -519,7 +599,7 @@ TEST(TuningCache, BatchVariantGetsOwnTunedSchedule) {
   // Tune *only* the batch-4 key.
   topi::ConfigSpace bspace = topi::GetScheduleSpace(batched_wl, Target::ArmA53());
   TuningCacheEntry e;
-  e.key = TuningKey(batched_wl, Target::ArmA53(), opts.specialize);
+  e.key = TuningKey(batched_wl, Target::ArmA53());
   e.config = ExtremeConfig(bspace);
   GlobalTuningCache().Put(e);
 

@@ -24,6 +24,8 @@ std::vector<float> Iota(size_t n) {
   return v;
 }
 
+// Schedule-requested unroll() loops are expanded by SpecializeLoops, the VM
+// compiler's pre-pass, under its unroll_limit.
 TEST(UnrollPass, ExpandsAnnotatedLoops) {
   const int n = 32;
   Tensor A = placeholder({make_int(n)}, DataType::Float32(), "A");
@@ -36,7 +38,9 @@ TEST(UnrollPass, ExpandsAnnotatedLoops) {
   st->split(st->leaf_iter_vars[0], 4, &o, &i);
   st->unroll(i);
   LoweredFunc f = Lower(s, {A, C}, "u");
-  Stmt unrolled = UnrollLoops(f.body, 8);
+  LoopSpecializeOptions opts;
+  opts.unroll_limit = 8;
+  Stmt unrolled = SpecializeLoops(f.body, opts);
   // The annotated loop must be gone.
   bool has_unrolled_for = false;
   PostOrderVisitStmt(unrolled, [&](const Stmt& st2) {
@@ -64,7 +68,9 @@ TEST(UnrollPass, LeavesLargeLoopsAlone) {
   Schedule s = create_schedule({C});
   (*s)[C]->unroll((*s)[C]->leaf_iter_vars[0]);
   LoweredFunc f = Lower(s, {A, C}, "u");
-  Stmt out = UnrollLoops(f.body, 16);  // 64 > 16: stays a loop
+  LoopSpecializeOptions opts;
+  opts.unroll_limit = 16;
+  Stmt out = SpecializeLoops(f.body, opts);  // 64 > 16: stays a loop
   bool has_for = false;
   PostOrderVisitStmt(out, [&](const Stmt& st) { has_for |= st->kind == StmtKind::kFor; });
   EXPECT_TRUE(has_for);

@@ -321,7 +321,7 @@ TEST(SpecializeUnit, DisabledMatchesLegacyCompilation) {
 }
 
 // ---------------------------------------------------------------------------
-// Graph-level: batched models inherit the pass config via CompileOptions
+// Graph-level: batched models on the specializing VM match the interpreter
 // ---------------------------------------------------------------------------
 
 NDArray RunModelOnce(
@@ -345,22 +345,41 @@ void ExpectBitwiseEqual(const NDArray& a, const NDArray& b, const std::string& w
       << what << ": outputs differ";
 }
 
+struct ScopedEngine {
+  ExecEngine saved;
+  explicit ScopedEngine(ExecEngine e) : saved(GetExecEngine()) { SetExecEngine(e); }
+  ~ScopedEngine() { SetExecEngine(saved); }
+};
+
+// Runs `model` rebatched by `batch` (1 = as compiled) under `engine`: compiling the
+// variant and running it each read the process engine.
+NDArray RunBatchedUnder(ExecEngine engine,
+                        const std::shared_ptr<const graph::CompiledGraph>& model,
+                        int batch,
+                        const std::vector<std::pair<std::string, NDArray>>& inputs) {
+  ScopedEngine scoped(engine);
+  std::shared_ptr<const graph::CompiledGraph> variant = model;
+  if (batch != 1) {
+    variant = model->Rebatched(batch);
+  }
+  return RunModelOnce(variant, inputs);
+}
+
 TEST(SpecializeGraph, BatchedLstmBitwiseIdentical) {
-  // The frontend LSTM LM compiled with and without specialization, then rebatched:
-  // Rebatched() inherits CompileOptions::specialize, so the batched variant's
-  // hoisted batch-offset adds must still match the unspecialized batched run
-  // bitwise. Strict mode: no kernel may silently fall back.
+  // The frontend LSTM LM on the (specializing) VM against the same model compiled
+  // for the reference interpreter, then rebatched: the batched variant's hoisted
+  // batch-offset adds must still match bitwise. Strict mode: no kernel may
+  // silently fall back.
   ScopedStrictMode strict;
   Target cpu = Target::ArmA53();
   frontend::Model m = frontend::LstmLanguageModel(2, 8, 1);
-  graph::CompileOptions spec_opts;
-  spec_opts.specialize = LoopSpecializeOptions{};
-  graph::CompileOptions base_opts;
-  base_opts.specialize = LoopSpecializeOptions::Disabled();
   // Deterministic per-name parameter seeding makes the two builds share weights.
-  auto spec_model = frontend::CompileModel(m, cpu, spec_opts);
-  auto base_model = frontend::CompileModel(frontend::LstmLanguageModel(2, 8, 1), cpu,
-                                           base_opts);
+  auto compile = [&](ExecEngine e) {
+    ScopedEngine engine(e);
+    return frontend::CompileModel(frontend::LstmLanguageModel(2, 8, 1), cpu);
+  };
+  auto vm_model = compile(ExecEngine::kVm);
+  auto interp_model = compile(ExecEngine::kInterp);
 
   // The LSTM LM is multi-input: data plus the h0/c0 recurrent states.
   auto lstm_inputs = [&](int batch, uint64_t seed) {
@@ -371,20 +390,18 @@ TEST(SpecializeGraph, BatchedLstmBitwiseIdentical) {
         {"h0", NDArray::Random(shape, DataType::Float32(), seed + 1)},
         {"c0", NDArray::Random(shape, DataType::Float32(), seed + 2)}};
   };
-  auto batch1 = lstm_inputs(1, 41);
-  ExpectBitwiseEqual(RunModelOnce(spec_model, batch1),
-                     RunModelOnce(base_model, batch1), "lstm batch-1");
-
-  const int batch = 3;
-  auto batch3 = lstm_inputs(batch, 47);
-  ExpectBitwiseEqual(RunModelOnce(spec_model->Rebatched(batch), batch3),
-                     RunModelOnce(base_model->Rebatched(batch), batch3),
-                     "lstm batch-3 (inherited specialize config)");
+  for (int batch : {1, 3}) {
+    auto inputs = lstm_inputs(batch, batch == 1 ? 41 : 47);
+    ExpectBitwiseEqual(RunBatchedUnder(ExecEngine::kVm, vm_model, batch, inputs),
+                       RunBatchedUnder(ExecEngine::kInterp, interp_model, batch, inputs),
+                       "lstm batch-" + std::to_string(batch));
+  }
 }
 
 TEST(SpecializeGraph, BatchedDenseChainBitwiseIdentical) {
   ScopedStrictMode strict;
-  auto make = [&](bool specialize) {
+  auto make = [&](ExecEngine e) {
+    ScopedEngine engine(e);
     graph::Graph g;
     int x = g.AddInput("data", {1, 8});
     for (int l = 0; l < 3; ++l) {
@@ -393,11 +410,7 @@ TEST(SpecializeGraph, BatchedDenseChainBitwiseIdentical) {
       x = g.AddOp("relu", "r" + std::to_string(l), {x});
     }
     g.outputs = {x};
-    graph::CompileOptions options;
-    options.specialize = specialize ? LoopSpecializeOptions{}
-                                    : LoopSpecializeOptions::Disabled();
-    auto model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53(),
-                                                        options);
+    auto model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53());
     for (int l = 0; l < 3; ++l) {
       model->SetParam("w" + std::to_string(l),
                       NDArray::Random({8, 8}, DataType::Float32(),
@@ -405,16 +418,15 @@ TEST(SpecializeGraph, BatchedDenseChainBitwiseIdentical) {
     }
     return model;
   };
-  auto spec_model = make(true);
-  auto base_model = make(false);
+  auto vm_model = make(ExecEngine::kVm);
+  auto interp_model = make(ExecEngine::kInterp);
   for (int batch : {1, 2, 4}) {
     NDArray input = NDArray::Random({batch, 8}, DataType::Float32(),
                                     static_cast<uint64_t>(70 + batch));
-    auto spec_b = batch == 1 ? spec_model : spec_model->Rebatched(batch);
-    auto base_b = batch == 1 ? base_model : base_model->Rebatched(batch);
-    ExpectBitwiseEqual(RunModelOnce(spec_b, {{"data", input}}),
-                       RunModelOnce(base_b, {{"data", input}}),
-                       "dense chain batch " + std::to_string(batch));
+    ExpectBitwiseEqual(
+        RunBatchedUnder(ExecEngine::kVm, vm_model, batch, {{"data", input}}),
+        RunBatchedUnder(ExecEngine::kInterp, interp_model, batch, {{"data", input}}),
+        "dense chain batch " + std::to_string(batch));
   }
 }
 

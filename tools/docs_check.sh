@@ -9,7 +9,10 @@
 # the allowlist of process-wide settings, so a new library knob must be a field of
 # an options struct instead of an environment variable, or (f) a file under
 # src/interp/ includes a header from src/vm/, src/codegen/ or src/graph/, so the
-# reference interpreter stays below the tiers it checks.
+# reference interpreter stays below the tiers it checks, or (g) the options
+# inventory drifts: a `struct <Name>Options` declared in a src/ header is missing
+# from the "Library knobs are fields of options structs (...)" sentence, or the
+# sentence names a struct no header declares.
 # Registered as the `docs_check` CTest so the docs cannot silently rot.
 set -u
 
@@ -97,6 +100,56 @@ while IFS= read -r hit; do
 done <<< "$(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"src/(vm|codegen|graph)/' \
             "$root/src/interp" 2>/dev/null | sed "s|^$root/||")"
 
+# Options inventory. Declared: every `struct <Name>Options` with a body in a src/
+# header, a nested `struct Options` written `<Outer>::Options` (the enclosing
+# column-0 class or struct). Listed: every backticked name in the sentence's
+# parentheses, lower-case namespace qualifiers (`serve::`, `vm::`) dropped.
+declared_opts="$(find "$root/src" -name '*.h' | sort | while IFS= read -r h; do
+  awk -v f="${h#"$root"/}" '
+    /^(class|struct) [A-Za-z0-9_]+/ { outer = $2 }
+    /^[[:space:]]*struct [A-Za-z0-9_]*Options([^A-Za-z0-9_;]|$)/ && !/;[[:space:]]*$/ {
+      name = $2
+      sub(/[^A-Za-z0-9_].*/, "", name)
+      if (name == "Options") name = outer "::Options"
+      print f ":" FNR " " name
+    }' "$h"
+done)"
+opts_start="$(grep -n 'Library knobs are fields of options structs (' "$doc" | head -1 | cut -d: -f1)"
+if [ -z "$opts_start" ]; then
+  echo "docs-check: docs/ARCHITECTURE.md lacks the \"Library knobs are fields of options structs (...)\" sentence"
+  fail=1
+else
+  listed_opts="$(awk -v start="$opts_start" '
+    NR < start { next }
+    {
+      line = $0
+      if (NR == start) line = substr(line, index(line, "options structs (") + 17)
+      close_at = index(line, ")")
+      if (close_at > 0) line = substr(line, 1, close_at - 1)
+      while (match(line, /`[^`]+`/)) {
+        print NR " " substr(line, RSTART + 1, RLENGTH - 2)
+        line = substr(line, RSTART + RLENGTH)
+      }
+      if (close_at > 0) exit
+    }' "$doc")"
+  listed_names="$(printf '%s\n' "$listed_opts" | cut -d' ' -f2 | sed -E 's/^([a-z_]+::)+//')"
+  while IFS=' ' read -r where name; do
+    [ -z "$name" ] && continue
+    if ! printf '%s\n' "$listed_names" | grep -qx "$name"; then
+      echo "docs-check: $where: struct $name is missing from the options sentence at docs/ARCHITECTURE.md:$opts_start"
+      fail=1
+    fi
+  done <<< "$declared_opts"
+  declared_names="$(printf '%s\n' "$declared_opts" | cut -d' ' -f2)"
+  while IFS=' ' read -r line name; do
+    [ -z "$name" ] && continue
+    if ! printf '%s\n' "$declared_names" | grep -qx "$(printf '%s' "$name" | sed -E 's/^([a-z_]+::)+//')"; then
+      echo "docs-check: docs/ARCHITECTURE.md:$line: the options sentence names $name, which no src/ header declares"
+      fail=1
+    fi
+  done <<< "$listed_opts"
+fi
+
 # Deployment guide: every env var an operator doc names must be a real knob
 # (referenced by code/CI), and every TVMCPP_SHM_* transport knob must be
 # documented in docs/DEPLOYMENT.md — the operator guide is the shm contract's
@@ -122,6 +175,6 @@ else
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs-check: directory map, env-var table, deployment guide, and src/interp/ layering are in sync with the tree"
+  echo "docs-check: directory map, env-var table, options inventory, deployment guide, and src/interp/ layering are in sync with the tree"
 fi
 exit "$fail"
