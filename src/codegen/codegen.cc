@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -47,6 +48,9 @@ constexpr const char* kSelf = "tn@";
 // loops (and loops with a symbolic extent) run inline, where chunk dispatch and
 // worker wake-up would cost more than they save.
 constexpr double kMinParallelWork = 65536;
+
+// Largest constant-size allocation emitted as a stack array instead of calloc.
+constexpr int64_t kMaxStackElems = 256;
 
 double StaticWork(const ForNode* loop) {
   auto extent = [](const Expr& e) {
@@ -123,9 +127,11 @@ const char* StorageCType(DataType t) {
   return "int64_t";
 }
 
-// A C expression string plus the static value-model type it evaluates to: double
+// A C expression string plus the static value-model type it evaluates to: float
 // (is_float) or int64_t. Mirrors the interpreter's Value::is_float flag, which is
-// statically determined (same rule the VM's StaticTypeOf uses).
+// statically determined (same rule the VM's StaticTypeOf uses). Every float value is
+// an f32, so float math is plain C `float` arithmetic: for + - * / that gives the
+// interpreter's round-once-from-double bits exactly.
 struct CV {
   std::string s;
   bool is_float = false;
@@ -192,8 +198,9 @@ class CEmitter {
   }
 
   // --- value-model conversions (interp Value::AsF / AsI / AsBool) ---------------
+  // An int promotes as int64 -> double -> f32, never by a direct int64 -> f32 cast.
   static std::string AsF(const CV& v) {
-    return v.is_float ? v.s : "(double)" + v.s;
+    return v.is_float ? v.s : "(float)(double)" + v.s;
   }
   static std::string AsI(const CV& v) {
     return v.is_float ? "(int64_t)" + v.s : v.s;
@@ -203,7 +210,7 @@ class CEmitter {
   // ReadElem: value read as the buffer's storage type; float buffers yield floats.
   CV ReadElem(const BufInfo& buf, const std::string& idx) {
     if (buf.dtype.is_float()) {
-      return {"(double)" + buf.name + "[" + idx + "]", true};
+      return {buf.name + "[" + idx + "]", true};
     }
     return {"(int64_t)" + buf.name + "[" + idx + "]", false};
   }
@@ -212,7 +219,7 @@ class CEmitter {
   // stores truncate float values through int64 first (interp AsI), then narrow.
   void WriteElem(const BufInfo& buf, const std::string& idx, const CV& val) {
     if (buf.dtype.is_float()) {
-      std::string f = "(float)(" + AsF(val) + ")";
+      std::string f = AsF(val);
       if (buf.dtype.bits() == 16) {
         f = "tn_qf16(" + f + ")";
       }
@@ -231,17 +238,15 @@ class CEmitter {
   }
 
   CV EmitImmFloat(double v) {
-    if (v != v) {
-      return {"(0.0 / 0.0)", true};  // NaN
+    float f = static_cast<float>(v);  // a float immediate is an f32 value
+    if (f != f) {
+      return {"(0.0f / 0.0f)", true};  // NaN
     }
-    if (v > 1.7976931348623157e308) {
-      return {"(1.0 / 0.0)", true};
-    }
-    if (v < -1.7976931348623157e308) {
-      return {"(-1.0 / 0.0)", true};
+    if (std::isinf(f)) {
+      return {f > 0 ? "(1.0f / 0.0f)" : "(-1.0f / 0.0f)", true};
     }
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);  // hexfloat: exact double round-trip
+    std::snprintf(buf, sizeof(buf), "%af", static_cast<double>(f));  // exact hexfloat
     return {std::string(buf), true};
   }
 
@@ -296,7 +301,7 @@ class CEmitter {
         env_[n->var.get()] = VarInfo{name, val.is_float};
         CV body = EmitExpr(n->body);
         RestoreVar(n->var.get(), saved);
-        std::string type = val.is_float ? "double" : "int64_t";
+        std::string type = val.is_float ? "float" : "int64_t";
         return {"({ " + type + " " + name + " = " + val.s + "; " + body.s + "; })",
                 body.is_float};
       }
@@ -317,7 +322,7 @@ class CEmitter {
     CV v = EmitExpr(n->value);
     if (n->dtype.is_float()) {
       if (n->dtype.bits() == 16) {
-        return {"(double)tn_qf16((float)(" + AsF(v) + "))", true};
+        return {"tn_qf16(" + AsF(v) + ")", true};
       }
       return {"(" + AsF(v) + ")", true};
     }
@@ -331,7 +336,7 @@ class CEmitter {
   }
 
   // Select and if_then_else: lazy branch evaluation via the C conditional operator.
-  // Mixed int/float arms promote to double, matching the VM's static unification
+  // Mixed int/float arms promote to float, matching the VM's static unification
   // (StaticTypeOf(t) || StaticTypeOf(f)).
   CV EmitConditional(const Expr& cond, const Expr& tval, const Expr& fval) {
     CV c = EmitExpr(cond);
@@ -361,7 +366,7 @@ class CEmitter {
       CV p = EmitExpr(n->predicate);
       CV idx = EmitExpr(n->index);
       CV read = ReadElem(buf, AsI(idx));
-      std::string zero = n->dtype.is_float() ? "0.0" : "INT64_C(0)";
+      std::string zero = n->dtype.is_float() ? "0.0f" : "INT64_C(0)";
       return {"(" + AsBool(p) + " ? " + read.s + " : " + zero + ")",
               buf.dtype.is_float()};
     }
@@ -399,12 +404,12 @@ class CEmitter {
         return {"tn_floormod(" + AsI(a) + ", " + AsI(b) + ")", false};
       case ExprKind::kMin:
         if (fl) {
-          return {"tn_fmin(" + AsF(a) + ", " + AsF(b) + ")", true};
+          return {"tn_fminf(" + AsF(a) + ", " + AsF(b) + ")", true};
         }
         return {"tn_imin(" + a.s + ", " + b.s + ")", false};
       case ExprKind::kMax:
         if (fl) {
-          return {"tn_fmax(" + AsF(a) + ", " + AsF(b) + ")", true};
+          return {"tn_fmaxf(" + AsF(a) + ", " + AsF(b) + ")", true};
         }
         return {"tn_imax(" + a.s + ", " + b.s + ")", false};
       case ExprKind::kEQ:
@@ -448,7 +453,8 @@ class CEmitter {
         case UnaryMathFn::kTanh: cfn = "tanh"; break;
         case UnaryMathFn::kSigmoid: cfn = "tn_sigmoid"; break;
       }
-      return {std::string(cfn) + "(" + AsF(x) + ")", true};
+      // glibc's double function, rounded to f32 (interp EvalUnaryMathFn).
+      return {"(float)" + std::string(cfn) + "((double)" + AsF(x) + ")", true};
     }
     if (name == "popcount") {
       CV x = EmitExpr(n->args[0]);
@@ -478,7 +484,7 @@ class CEmitter {
         std::string name = VarName(n->var.get());
         Line("{");
         ++indent_;
-        Line(std::string(val.is_float ? "double" : "int64_t") + " " + name + " = " +
+        Line(std::string(val.is_float ? "float" : "int64_t") + " " + name + " = " +
              val.s + ";");
         auto saved = SaveVar(n->var.get());
         env_[n->var.get()] = VarInfo{name, val.is_float};
@@ -586,7 +592,7 @@ class CEmitter {
     // depend on hash-map order.
     std::vector<std::pair<std::string, std::string>> captures;
     for (const auto& [var, info] : env_) {
-      captures.emplace_back(info.name, info.is_float ? "double" : "int64_t");
+      captures.emplace_back(info.name, info.is_float ? "float" : "int64_t");
     }
     for (const auto& [var, buf] : bufs_) {
       captures.emplace_back(buf.name, std::string(StorageCType(buf.dtype)) + "*");
@@ -697,22 +703,36 @@ class CEmitter {
     }
   }
 
+  // lanes > 1 allocates widened scalar storage, exactly like the interpreter, and the
+  // storage is zeroed like the interpreter's. A constant size of at most
+  // kMaxStackElems elements (the conv template's accumulator tile) is a zeroed
+  // block-scoped array the compiler can keep in registers; a larger or symbolic size
+  // is calloc'd and freed.
   void EmitAllocate(const AllocateNode* n) {
-    // lanes > 1 allocates widened scalar storage, exactly like the interpreter;
-    // calloc matches the interpreter's zero-initialized owned storage.
     DataType store = n->dtype.element_of();
+    const std::string ctype = StorageCType(store);
     std::string name = VarName(n->buffer_var.get());
-    std::string sz = NewTemp();
+    int64_t elems = n->dtype.lanes();
+    for (const Expr& e : n->extents) {
+      const IntImmNode* c = as_int(e);
+      bool small = c != nullptr && c->value > 0 && c->value <= kMaxStackElems;
+      elems = small && elems <= kMaxStackElems ? elems * c->value : kMaxStackElems + 1;
+    }
+    const bool on_stack = elems <= kMaxStackElems;
     Line("{");
     ++indent_;
-    Line("int64_t " + sz + " = " + std::to_string(n->dtype.lanes()) + ";");
-    for (const Expr& e : n->extents) {
-      CV v = EmitExpr(e);
-      Line(sz + " *= " + AsI(v) + ";");
+    if (on_stack) {
+      Line(ctype + " " + name + "[" + std::to_string(elems) + "] = {0};");
+    } else {
+      std::string sz = NewTemp();
+      Line("int64_t " + sz + " = " + std::to_string(n->dtype.lanes()) + ";");
+      for (const Expr& e : n->extents) {
+        CV v = EmitExpr(e);
+        Line(sz + " *= " + AsI(v) + ";");
+      }
+      Line(ctype + "* " + name + " = (" + ctype + "*)calloc((size_t)" + sz + ", sizeof(" +
+           ctype + "));");
     }
-    Line(std::string(StorageCType(store)) + "* " + name + " = (" +
-         StorageCType(store) + "*)calloc((size_t)" + sz + ", sizeof(" +
-         StorageCType(store) + "));");
     bool had = bufs_.count(n->buffer_var.get()) > 0;
     BufInfo saved_buf = had ? bufs_[n->buffer_var.get()] : BufInfo{};
     bufs_[n->buffer_var.get()] = BufInfo{name, store};
@@ -722,7 +742,9 @@ class CEmitter {
     } else {
       bufs_.erase(n->buffer_var.get());
     }
-    Line("free(" + name + ");");
+    if (!on_stack) {
+      Line("free(" + name + ");");
+    }
     --indent_;
     Line("}");
   }
@@ -815,7 +837,7 @@ class CEmitter {
     using Category = TensorIntrinCategory;
     switch (info->category) {
       case Category::kFill: {
-        CV zero = acc[0].buf->dtype.is_float() ? CV{"0.0", true} : CV{"INT64_C(0)", false};
+        CV zero = acc[0].buf->dtype.is_float() ? CV{"0.0f", true} : CV{"INT64_C(0)", false};
         WriteElem(*acc[0].buf, offset(acc[0]), zero);
         break;
       }
@@ -829,6 +851,7 @@ class CEmitter {
         bool fl = out.is_float || a.is_float || b.is_float;
         CV r;
         if (fl) {
+          // f32 product, then f32 sum: -ffp-contract=off keeps them two roundings.
           r = {"(" + AsF(out) + " + " + AsF(a) + " * " + AsF(b) + ")", true};
         } else {
           r = {"(" + out.s + " + " + a.s + " * " + b.s + ")", false};
@@ -905,8 +928,8 @@ static inline int64_t tn_wrap(int64_t i, int bits, int sgn) {
 }
 
 /* std::min / std::max semantics: min(a,b) = b<a ? b : a; max(a,b) = a<b ? b : a. */
-static inline double tn_fmin(double a, double b) { return b < a ? b : a; }
-static inline double tn_fmax(double a, double b) { return a < b ? b : a; }
+static inline float tn_fminf(float a, float b) { return b < a ? b : a; }
+static inline float tn_fmaxf(float a, float b) { return a < b ? b : a; }
 static inline int64_t tn_imin(int64_t a, int64_t b) { return b < a ? b : a; }
 static inline int64_t tn_imax(int64_t a, int64_t b) { return a < b ? b : a; }
 

@@ -9,7 +9,8 @@
 //   void <symbol>(void** bufs, const tn_launcher* par);  // bufs[i] = args[i].data
 //
 // The emitted code mirrors the reference interpreter's value model statement by
-// statement — all float arithmetic in double, ints as int64_t, floor div/mod,
+// statement — every float value an f32 (C `float` arithmetic, unary libm calls in
+// double rounded back), ints as int64_t, floor div/mod,
 // float16 rounded through the shared RNE grid on cast/store, Select/if_then_else
 // lazy, predicated lanes skipped, vector stores per lane in predicate -> index ->
 // value order — so a compiled kernel is bitwise-identical to the interpreter (and

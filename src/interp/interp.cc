@@ -30,15 +30,16 @@ int InterpElementBytes(DataType t) {
 
 namespace {
 
-// Scalar runtime value.
+// Scalar runtime value. Every float value is an f32 (src/support/float16.h): Float()
+// rounds whatever produced it, and an int promotes as int64 -> double -> f32.
 struct Value {
   double f = 0;
   int64_t i = 0;
   bool is_float = false;
 
   static Value Int(int64_t v) { return Value{0, v, false}; }
-  static Value Float(double v) { return Value{v, 0, true}; }
-  double AsF() const { return is_float ? f : static_cast<double>(i); }
+  static Value Float(double v) { return Value{RoundF32(v), 0, true}; }
+  double AsF() const { return is_float ? f : RoundF32(static_cast<double>(i)); }
   int64_t AsI() const { return is_float ? static_cast<int64_t>(f) : i; }
   bool AsBool() const { return is_float ? f != 0 : i != 0; }
 };
@@ -184,14 +185,7 @@ class Interp {
         }
         int64_t i = v.AsI();
         if (n->dtype.bits() < 64 && !n->dtype.is_handle()) {
-          int64_t mask_bits = n->dtype.bits();
-          if (mask_bits < 64) {
-            int64_t mod = int64_t{1} << mask_bits;
-            i = ((i % mod) + mod) % mod;
-            if (n->dtype.is_int() && i >= (mod >> 1)) {
-              i -= mod;
-            }
-          }
+          i = WrapInt(i, n->dtype.bits(), n->dtype.is_int());
         }
         return Value::Int(i);
       }
@@ -393,7 +387,7 @@ class Interp {
           Value a = ReadElem(*acc[1].buf, offset(acc[1]));
           Value b = ReadElem(*acc[2].buf, offset(acc[2]));
           Value r = out.is_float || a.is_float || b.is_float
-                        ? Value::Float(out.AsF() + a.AsF() * b.AsF())
+                        ? Value::Float(out.AsF() + RoundF32(a.AsF() * b.AsF()))
                         : Value::Int(out.i + a.i * b.i);
           WriteElem(*acc[0].buf, offset(acc[0]), r);
           break;

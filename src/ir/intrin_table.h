@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/ir/stmt.h"
+#include "src/support/float16.h"
 
 namespace tvmcpp {
 
@@ -70,20 +71,28 @@ inline bool LookupUnaryMathFn(const std::string& name, UnaryMathFn* fn) {
   return true;
 }
 
+// Calls glibc's double function and rounds the result to f32 (the emitted C does the
+// same through `(float)exp((double)x)` under -fno-builtin).
 inline double EvalUnaryMathFn(UnaryMathFn fn, double x) {
+  double r = 0;
   switch (fn) {
     case UnaryMathFn::kExp:
-      return std::exp(x);
+      r = std::exp(x);
+      break;
     case UnaryMathFn::kLog:
-      return std::log(x);
+      r = std::log(x);
+      break;
     case UnaryMathFn::kSqrt:
-      return std::sqrt(x);
+      r = std::sqrt(x);
+      break;
     case UnaryMathFn::kTanh:
-      return std::tanh(x);
+      r = std::tanh(x);
+      break;
     case UnaryMathFn::kSigmoid:
-      return 1.0 / (1.0 + std::exp(-x));
+      r = 1.0 / (1.0 + std::exp(-x));
+      break;
   }
-  return 0;  // unreachable
+  return RoundF32(r);
 }
 
 inline bool IsUnaryMathIntrin(const std::string& name) {

@@ -8,6 +8,7 @@
 
 #include "src/ir/functor.h"
 #include "src/ir/substitute.h"
+#include "src/support/float16.h"
 
 namespace tvmcpp {
 
@@ -190,22 +191,28 @@ class Simplifier : public StmtMutator {
     return SimplifyBinary(op->kind, std::move(a), std::move(b));
   }
 
+  // A cast of an immediate folds to exactly what the tiers compute for it. A float
+  // target keeps the double (every tier rounds a float immediate to f32 when it
+  // evaluates it) but quantizes it through the f16 grid for an f16 target; an int
+  // target truncates the f32 value toward zero and wraps to a narrow width.
   Expr MutateCast(const CastNode* op, const Expr& e) override {
     Expr v = Mutate(op->value);
-    if (const IntImmNode* iv = as_int(v)) {
+    const IntImmNode* iv = as_int(v);
+    const FloatImmNode* fv = as_float(v);
+    if (iv != nullptr || fv != nullptr) {
       if (op->dtype.is_float()) {
-        return make_const(op->dtype, static_cast<double>(iv->value));
+        double d = iv != nullptr ? static_cast<double>(iv->value) : fv->value;
+        if (op->dtype.bits() == 16) {
+          d = QuantizeFloat16(static_cast<float>(d));
+        }
+        return std::make_shared<FloatImmNode>(op->dtype, d);
       }
       if (op->dtype.is_int() || op->dtype.is_uint()) {
-        return std::make_shared<IntImmNode>(op->dtype, iv->value);
-      }
-    }
-    if (const FloatImmNode* fv = as_float(v)) {
-      if (op->dtype.is_float()) {
-        return std::make_shared<FloatImmNode>(op->dtype, fv->value);
-      }
-      if (op->dtype.is_int()) {
-        return std::make_shared<IntImmNode>(op->dtype, static_cast<int64_t>(fv->value));
+        int64_t i = iv != nullptr ? iv->value : static_cast<int64_t>(RoundF32(fv->value));
+        if (op->dtype.bits() < 64) {
+          i = WrapInt(i, op->dtype.bits(), op->dtype.is_int());
+        }
+        return std::make_shared<IntImmNode>(op->dtype, i);
       }
     }
     if (v->dtype == op->dtype) {
@@ -692,7 +699,11 @@ class Simplifier : public StmtMutator {
     }
   }
 
+  // Every tier evaluates a float immediate as its f32 value, so the fold rounds its
+  // operands first. The result needs no rounding of its own: it is an immediate too.
   static Expr FoldFloat(ExprKind kind, double a, double b, DataType t) {
+    a = RoundF32(a);
+    b = RoundF32(b);
     switch (kind) {
       case ExprKind::kAdd:
         return std::make_shared<FloatImmNode>(t, a + b);

@@ -61,6 +61,17 @@ Stmt Simplify(const Stmt& s);
 int64_t FloorDiv(int64_t a, int64_t b);
 int64_t FloorMod(int64_t a, int64_t b);
 
+// The narrowing-cast rule for an int target of `bits` < 64 bits, shared by the
+// simplifier, the interpreter and the VM: i mod 2^bits, re-signed when `is_signed`.
+inline int64_t WrapInt(int64_t i, int bits, bool is_signed) {
+  int64_t mod = int64_t{1} << bits;
+  i = ((i % mod) + mod) % mod;
+  if (is_signed && i >= (mod >> 1)) {
+    i -= mod;
+  }
+  return i;
+}
+
 }  // namespace tvmcpp
 
 #endif  // SRC_IR_SIMPLIFY_H_

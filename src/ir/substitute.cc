@@ -1,5 +1,6 @@
 #include "src/ir/substitute.h"
 
+#include <cstring>
 #include <unordered_map>
 
 #include "src/ir/functor.h"
@@ -78,9 +79,13 @@ bool StructuralEqual(const Expr& a, const Expr& b) {
     case ExprKind::kIntImm:
       return static_cast<const IntImmNode*>(a.get())->value ==
              static_cast<const IntImmNode*>(b.get())->value;
-    case ExprKind::kFloatImm:
-      return static_cast<const FloatImmNode*>(a.get())->value ==
-             static_cast<const FloatImmNode*>(b.get())->value;
+    case ExprKind::kFloatImm: {
+      // Bitwise, so 0.0 and -0.0 stay distinct (== would let Simplify fold
+      // select(c, 0.0, -0.0) to one arm and flip a zero's sign).
+      double x = static_cast<const FloatImmNode*>(a.get())->value;
+      double y = static_cast<const FloatImmNode*>(b.get())->value;
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
     case ExprKind::kStringImm:
       return static_cast<const StringImmNode*>(a.get())->value ==
              static_cast<const StringImmNode*>(b.get())->value;

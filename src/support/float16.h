@@ -1,9 +1,15 @@
-// IEEE 754 binary16 (half precision) rounding helpers.
+// IEEE 754 binary32 and binary16 rounding helpers.
 //
-// The runtime stores float16 data widened to float32 (see src/interp), so "float16"
-// semantics reduce to quantizing a float32 through the half-precision grid on every
-// cast/store. Both execution engines (tree-walking interpreter and bytecode VM) share
-// these helpers so their float16 results are bitwise identical.
+// The value model of every tier is "every float value is an f32": each operation
+// that produces a float (immediate, int->float promotion, float cast, + - * /, unary
+// intrinsic, tensor-intrinsic MAC) rounds its result to f32. The interpreter and the
+// bytecode VM keep double registers and round through RoundF32; because
+// 53 >= 2*24 + 2, a double + - * / of two f32 operands rounded once to f32 gives the
+// bits of the f32 operation itself, which is what the emitted C computes.
+//
+// The runtime stores float16 data widened to float32 (see src/interp). f16 arithmetic
+// runs per operation in f32 and quantizes through the half-precision grid only at f16
+// casts and stores. Every tier shares these helpers so results are bitwise identical.
 #ifndef SRC_SUPPORT_FLOAT16_H_
 #define SRC_SUPPORT_FLOAT16_H_
 
@@ -11,6 +17,11 @@
 #include <cstring>
 
 namespace tvmcpp {
+
+// Rounds a double to the nearest f32 (round-to-nearest-even), kept in a double.
+inline double RoundF32(double value) {
+  return static_cast<double>(static_cast<float>(value));
+}
 
 // float32 -> binary16 bit pattern, round-to-nearest-even. Overflow goes to infinity,
 // subnormals are rounded into the half subnormal grid, NaN payload is truncated

@@ -36,6 +36,9 @@ namespace {
 
 // A register holds a scalar as both representations; the statically known type of the
 // producing instruction decides which field is meaningful (mirrors interp's Value).
+// A float register always holds an f32 value: every opcode that produces a float
+// (kIntToFloat, k{Add,Sub,Mul,Div}F, kCallUnary, their kV forms, and the tensor MAC)
+// rounds through RoundF32, and so does every pool constant.
 struct VMValue {
   double f = 0;
   int64_t i = 0;
@@ -48,7 +51,7 @@ enum ElemKind : uint8_t { kF32, kF16, kI8, kI32, kI64 };
 
 enum class Op : uint8_t {
   kMov,         // r[dst] = r[a]
-  kIntToFloat,  // r[dst].f = (double)r[a].i
+  kIntToFloat,  // r[dst].f = RoundF32((double)r[a].i)
   kFloatToInt,  // r[dst].i = (int64_t)r[a].f
   kWrapInt,     // r[dst].i = r[a].i wrapped to `bits` bits, sign-extended iff flag
   kQuantF16,    // r[dst].f = QuantizeFloat16((float)r[a].f)
@@ -226,6 +229,7 @@ class Compiler {
   }
 
   int32_t ConstF(double v) {
+    v = RoundF32(v);  // float immediates and folded constants are f32 values
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     return ConstReg(true, bits);
@@ -1580,8 +1584,9 @@ class Compiler {
   // constant-source movs, tombstoning the collapsed instructions. Only applied when
   // the result register has exactly one write in the entire program — then every
   // read anywhere observes that write, and redirecting readers to the folded
-  // constant is unconditionally safe. Float folds use the same double arithmetic as
-  // the executor, so results stay bitwise identical.
+  // constant is unconditionally safe. Float folds use the executor's arithmetic and
+  // ConstF rounds the result to f32 as the executor's opcodes do, so results stay
+  // bitwise identical.
   void Peephole() {
     if (!AllScalarUseModeled(0, static_cast<int32_t>(prog_.code.size()))) {
       return;  // fail closed: never rewrite around opcodes we cannot model
@@ -1646,16 +1651,7 @@ class Compiler {
     switch (in.op) {
       case Op::kIntToFloat: *out = ConstF(static_cast<double>(a.i)); return true;
       case Op::kFloatToInt: *out = ConstI(static_cast<int64_t>(a.f)); return true;
-      case Op::kWrapInt: {
-        int64_t i = a.i;
-        int64_t mod = int64_t{1} << in.bits;
-        i = ((i % mod) + mod) % mod;
-        if (in.flag != 0 && i >= (mod >> 1)) {
-          i -= mod;
-        }
-        *out = ConstI(i);
-        return true;
-      }
+      case Op::kWrapInt: *out = ConstI(WrapInt(a.i, in.bits, in.flag != 0)); return true;
       case Op::kQuantF16:
         *out = ConstF(static_cast<double>(QuantizeFloat16(static_cast<float>(a.f))));
         return true;
@@ -1833,7 +1829,7 @@ struct ScalarVal {
   double f = 0;
   int64_t i = 0;
   bool is_float = false;
-  double AsF() const { return is_float ? f : static_cast<double>(i); }
+  double AsF() const { return is_float ? f : RoundF32(static_cast<double>(i)); }
 };
 
 ScalarVal ReadBuf(const VMBuffer& b, int64_t idx) {
@@ -1954,7 +1950,7 @@ void ExecTensorIntrin(const Program& p, ExecState& st, const TensorIntrinDesc& d
         ScalarVal b = ReadBuf(*acc[2].buf, offset(acc[2]));
         ScalarVal r;
         if (out.is_float || a.is_float || b.is_float) {
-          r.f = out.AsF() + a.AsF() * b.AsF();
+          r.f = RoundF32(out.AsF() + RoundF32(a.AsF() * b.AsF()));
           r.is_float = true;
         } else {
           r.i = out.i + a.i * b.i;
@@ -2010,30 +2006,26 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
     const Instr& in = code[pc];
     switch (in.op) {
       case Op::kMov: r[in.dst] = r[in.a]; ++pc; break;
-      case Op::kIntToFloat: r[in.dst].f = static_cast<double>(r[in.a].i); ++pc; break;
-      case Op::kFloatToInt: r[in.dst].i = static_cast<int64_t>(r[in.a].f); ++pc; break;
-      case Op::kWrapInt: {
-        int64_t i = r[in.a].i;
-        int64_t mod = int64_t{1} << in.bits;
-        i = ((i % mod) + mod) % mod;
-        if (in.flag != 0 && i >= (mod >> 1)) {
-          i -= mod;
-        }
-        r[in.dst].i = i;
+      case Op::kIntToFloat:
+        r[in.dst].f = RoundF32(static_cast<double>(r[in.a].i));
         ++pc;
         break;
-      }
+      case Op::kFloatToInt: r[in.dst].i = static_cast<int64_t>(r[in.a].f); ++pc; break;
+      case Op::kWrapInt:
+        r[in.dst].i = WrapInt(r[in.a].i, in.bits, in.flag != 0);
+        ++pc;
+        break;
       case Op::kQuantF16:
         r[in.dst].f = static_cast<double>(QuantizeFloat16(static_cast<float>(r[in.a].f)));
         ++pc;
         break;
       case Op::kAddI: r[in.dst].i = r[in.a].i + r[in.b].i; ++pc; break;
-      case Op::kAddF: r[in.dst].f = r[in.a].f + r[in.b].f; ++pc; break;
+      case Op::kAddF: r[in.dst].f = RoundF32(r[in.a].f + r[in.b].f); ++pc; break;
       case Op::kSubI: r[in.dst].i = r[in.a].i - r[in.b].i; ++pc; break;
-      case Op::kSubF: r[in.dst].f = r[in.a].f - r[in.b].f; ++pc; break;
+      case Op::kSubF: r[in.dst].f = RoundF32(r[in.a].f - r[in.b].f); ++pc; break;
       case Op::kMulI: r[in.dst].i = r[in.a].i * r[in.b].i; ++pc; break;
-      case Op::kMulF: r[in.dst].f = r[in.a].f * r[in.b].f; ++pc; break;
-      case Op::kDivF: r[in.dst].f = r[in.a].f / r[in.b].f; ++pc; break;
+      case Op::kMulF: r[in.dst].f = RoundF32(r[in.a].f * r[in.b].f); ++pc; break;
+      case Op::kDivF: r[in.dst].f = RoundF32(r[in.a].f / r[in.b].f); ++pc; break;
       case Op::kFloorDivI: r[in.dst].i = FloorDiv(r[in.a].i, r[in.b].i); ++pc; break;
       case Op::kFloorModI: r[in.dst].i = FloorMod(r[in.a].i, r[in.b].i); ++pc; break;
       case Op::kMinI: r[in.dst].i = std::min(r[in.a].i, r[in.b].i); ++pc; break;
@@ -2189,7 +2181,7 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
         break;
       case Op::kVIntToFloat:
         for (int32_t l = 0; l < in.lanes; ++l) {
-          v[in.dst + l].f = static_cast<double>(v[in.a + l].i);
+          v[in.dst + l].f = RoundF32(static_cast<double>(v[in.a + l].i));
         }
         ++pc;
         break;
@@ -2216,19 +2208,12 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
         }
         ++pc;
         break;
-      case Op::kVWrapInt: {
-        int64_t mod = int64_t{1} << in.bits;
+      case Op::kVWrapInt:
         for (int32_t l = 0; l < in.lanes; ++l) {
-          int64_t i = v[in.a + l].i;
-          i = ((i % mod) + mod) % mod;
-          if (in.flag != 0 && i >= (mod >> 1)) {
-            i -= mod;
-          }
-          v[in.dst + l].i = i;
+          v[in.dst + l].i = WrapInt(v[in.a + l].i, in.bits, in.flag != 0);
         }
         ++pc;
         break;
-      }
 #define TVMCPP_VM_VBINOP(OPC, FIELD, EXPR)                              \
   case Op::OPC:                                                         \
     for (int32_t l = 0; l < in.lanes; ++l) {                            \
@@ -2240,12 +2225,12 @@ void RunRange(const Program& p, ExecState& st, int32_t pc, int32_t end,
     ++pc;                                                               \
     break;
       TVMCPP_VM_VBINOP(kVAddI, i, v[in.dst + l].i = va + vb)
-      TVMCPP_VM_VBINOP(kVAddF, f, v[in.dst + l].f = va + vb)
+      TVMCPP_VM_VBINOP(kVAddF, f, v[in.dst + l].f = RoundF32(va + vb))
       TVMCPP_VM_VBINOP(kVSubI, i, v[in.dst + l].i = va - vb)
-      TVMCPP_VM_VBINOP(kVSubF, f, v[in.dst + l].f = va - vb)
+      TVMCPP_VM_VBINOP(kVSubF, f, v[in.dst + l].f = RoundF32(va - vb))
       TVMCPP_VM_VBINOP(kVMulI, i, v[in.dst + l].i = va * vb)
-      TVMCPP_VM_VBINOP(kVMulF, f, v[in.dst + l].f = va * vb)
-      TVMCPP_VM_VBINOP(kVDivF, f, v[in.dst + l].f = va / vb)
+      TVMCPP_VM_VBINOP(kVMulF, f, v[in.dst + l].f = RoundF32(va * vb))
+      TVMCPP_VM_VBINOP(kVDivF, f, v[in.dst + l].f = RoundF32(va / vb))
       TVMCPP_VM_VBINOP(kVFloorDivI, i, v[in.dst + l].i = FloorDiv(va, vb))
       TVMCPP_VM_VBINOP(kVFloorModI, i, v[in.dst + l].i = FloorMod(va, vb))
       TVMCPP_VM_VBINOP(kVMinI, i, v[in.dst + l].i = std::min(va, vb))

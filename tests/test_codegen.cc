@@ -27,6 +27,7 @@
 #include "src/graph/graph.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
+#include "src/ir/simplify.h"
 #include "src/lower/lower.h"
 #include "src/runtime/ndarray.h"
 #include "src/runtime/target.h"
@@ -413,6 +414,152 @@ TEST(CodegenDiff, VmUnsupportedVectorLetRunsNative) {
   EXPECT_EQ(std::memcmp(interp_bufs[1].bytes.data(), e2e[1].bytes.data(),
                         interp_bufs[1].bytes.size()),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// The value model: every float value is an f32 on every tier
+// ---------------------------------------------------------------------------
+
+ArgBuf Values(DataType dtype, const std::vector<double>& values) {
+  ArgBuf a = ArgBuf::Make(static_cast<int64_t>(values.size()), dtype, 1);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (dtype.is_float()) {
+      reinterpret_cast<float*>(a.bytes.data())[i] = static_cast<float>(values[i]);
+    } else {
+      reinterpret_cast<int32_t*>(a.bytes.data())[i] = static_cast<int32_t>(values[i]);
+    }
+  }
+  return a;
+}
+
+// Runs `f` on the three tiers, which must agree bitwise, and returns the buffers
+// as the interpreter left them.
+std::vector<ArgBuf> RunAllTiers(const LoweredFunc& f, const std::vector<ArgBuf>& args) {
+  ExpectThreeTierIdentical(f, args);
+  std::vector<ArgBuf> out = args;
+  std::vector<BufferBinding> bind;
+  for (ArgBuf& b : out) {
+    bind.push_back(b.Bind());
+  }
+  RunLoweredInterp(f, bind);
+  return out;
+}
+
+// A one-element kernel: Out[0] = value, Out of `dtype`.
+LoweredFunc StoreOne(const std::string& name, DataType dtype, const Var& out,
+                     const Expr& value, std::vector<BufferArg> inputs = {}) {
+  LoweredFunc f;
+  f.name = name;
+  f.args = std::move(inputs);
+  f.args.push_back(BufferArg{out, dtype, {1}, "Out"});
+  f.body = store(out, value, make_int(0));
+  return f;
+}
+
+float OutF(const std::vector<ArgBuf>& bufs) {
+  return reinterpret_cast<const float*>(bufs.back().bytes.data())[0];
+}
+
+int32_t OutI(const std::vector<ArgBuf>& bufs) {
+  return reinterpret_cast<const int32_t*>(bufs.back().bytes.data())[0];
+}
+
+TEST(CodegenDiff, CastOfIntConstWrapsToNarrowWidth) {
+  // Simplify folds the cast on the VM and native paths; it must wrap like the
+  // interpreter's cast rule instead of keeping 300.
+  Var out = make_var("Out", DataType::Handle());
+  Expr v = cast(DataType::Int32(), cast(DataType::Int8(), make_int(300)));
+  LoweredFunc f = StoreOne("cg_cast_i8_of_300", DataType::Int32(), out, v);
+  EXPECT_EQ(OutI(RunAllTiers(f, {Values(DataType::Int32(), {0})})), 44);
+}
+
+TEST(CodegenDiff, CastOfFloatConstWrapsToNarrowWidth) {
+  Var out = make_var("Out", DataType::Handle());
+  Expr v = cast(DataType::Int32(), cast(DataType::Int8(), make_float(300.0)));
+  LoweredFunc f = StoreOne("cg_cast_i8_of_300f", DataType::Int32(), out, v);
+  EXPECT_EQ(OutI(RunAllTiers(f, {Values(DataType::Int32(), {0})})), 44);
+}
+
+TEST(CodegenDiff, CastOfFloatConstToF16Quantizes) {
+  // Stored into an f32 buffer, so only the cast can quantize.
+  Var out = make_var("Out", DataType::Handle());
+  Expr v = cast(DataType::Float32(), cast(DataType::Float16(), make_float(0.1)));
+  LoweredFunc f = StoreOne("cg_cast_f16_of_01", DataType::Float32(), out, v);
+  EXPECT_EQ(OutF(RunAllTiers(f, {Values(DataType::Float32(), {0})})),
+            QuantizeFloat16(0.1f));
+}
+
+TEST(CodegenDiff, F32SumRoundsBeforeTheNextOp) {
+  // (x + 1) - x at x = 1e8: x + 1 rounds back to 1e8 in f32 (spacing 8 there), so
+  // the difference is 0. Evaluated in double with rounding only at the store it
+  // would be 1.
+  Var a = make_var("A", DataType::Handle());
+  Var out = make_var("Out", DataType::Handle());
+  Expr x = load(DataType::Float32(), a, make_int(0));
+  LoweredFunc f = StoreOne("cg_f32_absorb", DataType::Float32(), out,
+                           (x + make_float(1.0)) - x,
+                           {BufferArg{a, DataType::Float32(), {1}, "A"}});
+  std::vector<ArgBuf> bufs =
+      RunAllTiers(f, {Values(DataType::Float32(), {1e8}), Values(DataType::Float32(), {7})});
+  EXPECT_EQ(OutF(bufs), 0.0f);
+}
+
+TEST(CodegenDiff, FloatImmediateFoldsAsF32) {
+  // 0.1 * 0.2 folds in Simplify for the VM and native tiers and evaluates unfolded
+  // on the interpreter; both must give the f32 product of the f32 immediates,
+  // which differs from the double product rounded once.
+  const float expected = 0.1f * 0.2f;
+  ASSERT_NE(expected, static_cast<float>(0.1 * 0.2));
+  Expr folded = Simplify(mul(make_float(0.1), make_float(0.2)));
+  ASSERT_EQ(folded->kind, ExprKind::kFloatImm);
+  EXPECT_EQ(static_cast<float>(static_cast<const FloatImmNode*>(folded.get())->value),
+            expected);
+  Var out = make_var("Out", DataType::Handle());
+  LoweredFunc f = StoreOne("cg_fold_01", DataType::Float32(), out,
+                           mul(make_float(0.1), make_float(0.2)));
+  EXPECT_EQ(OutF(RunAllTiers(f, {Values(DataType::Float32(), {0})})), expected);
+}
+
+// One scalar MAC through the tensor-intrinsic ABI with no tensorized dims:
+// Out[0] += A[0] * B[0].
+LoweredFunc ScalarMac(const std::string& name, DataType out_t, DataType in_t) {
+  Var a = make_var("A", DataType::Handle());
+  Var b = make_var("B", DataType::Handle());
+  Var out = make_var("Out", DataType::Handle());
+  LoweredFunc f;
+  f.name = name;
+  f.args = {BufferArg{a, in_t, {1}, "A"}, BufferArg{b, in_t, {1}, "B"},
+            BufferArg{out, out_t, {1}, "Out"}};
+  f.body = evaluate(call_intrin(DataType::Int32(), kGemmIntrin,
+                                {out, make_int(0), a, make_int(0), b, make_int(0)}));
+  return f;
+}
+
+TEST(CodegenDiff, TensorizedMacRoundsTheProductThenTheSum) {
+  // f32 operands: (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 rounds to 1 + 2^-11 in f32, so
+  // adding -(1 + 2^-11) gives 0 (in double it would leave 2^-24).
+  const double e = std::ldexp(1.0, -12);
+  LoweredFunc f = ScalarMac("cg_mac_f32", DataType::Float32(), DataType::Float32());
+  std::vector<ArgBuf> bufs = RunAllTiers(
+      f, {Values(DataType::Float32(), {1 + e}), Values(DataType::Float32(), {1 + e}),
+          Values(DataType::Float32(), {-(1 + 2 * e)})});
+  EXPECT_EQ(OutF(bufs), 0.0f);
+
+  // i32 operands into an f32 accumulator promote to f32 first: 2^24 + 1 becomes
+  // 2^24, so the product is 3 * 2^24 exactly and the sum 0 (unrounded, 4).
+  LoweredFunc g = ScalarMac("cg_mac_i32_f32", DataType::Float32(), DataType::Int32());
+  bufs = RunAllTiers(g, {Values(DataType::Int32(), {16777217}),
+                         Values(DataType::Int32(), {3}),
+                         Values(DataType::Float32(), {-50331648})});
+  EXPECT_EQ(OutF(bufs), 0.0f);
+
+  // f32 operands into an i32 accumulator: the sum 3 * 2^22 + 0.75 rounds to
+  // 3 * 2^22 + 1 in f32 before the store truncates it.
+  LoweredFunc h = ScalarMac("cg_mac_f32_i32", DataType::Int32(), DataType::Float32());
+  bufs = RunAllTiers(h, {Values(DataType::Float32(), {0.75}),
+                         Values(DataType::Float32(), {1}),
+                         Values(DataType::Int32(), {12582912})});
+  EXPECT_EQ(OutI(bufs), 12582913);
 }
 
 // ---------------------------------------------------------------------------
@@ -932,6 +1079,65 @@ TEST(CodegenUnit, UnsupportedConstructReportsNotOk) {
   codegen::CSource src = codegen::EmitC(f);
   EXPECT_FALSE(src.ok);
   EXPECT_FALSE(src.error.empty());
+}
+
+TEST(CodegenUnit, ConvTileIsAStackArrayWithAnF32Mac) {
+  // The fused conv master accumulates into an oc x ow tile: a zeroed stack array,
+  // updated by a MAC in float arithmetic with no double conversion.
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildConvRelu3x3(DataType::Float32(), &t, "cg_conv_tile");
+  codegen::CSource src = codegen::EmitC(f);
+  ASSERT_TRUE(src.ok) << src.error;
+  const size_t decl = src.code.find("] = {0};");
+  ASSERT_NE(decl, std::string::npos) << src.code;
+  const size_t line_start = src.code.rfind('\n', decl) + 1;
+  const std::string tile_decl = src.code.substr(line_start, decl - line_start);
+  const size_t name_start = tile_decl.find("float ");
+  ASSERT_NE(name_start, std::string::npos) << tile_decl;
+  const std::string tile =
+      tile_decl.substr(name_start + 6, tile_decl.find('[') - (name_start + 6));
+  bool saw_mac = false;
+  size_t pos = 0;
+  while ((pos = src.code.find(tile + "[", pos)) != std::string::npos) {
+    const size_t bol = src.code.rfind('\n', pos) + 1;
+    const std::string line = src.code.substr(bol, src.code.find('\n', pos) - bol);
+    if (line.find(" * ") != std::string::npos && line.find(" + ") != std::string::npos &&
+        line.find(tile + "[") < line.find(" = ")) {
+      saw_mac = true;
+      EXPECT_EQ(line.find("double"), std::string::npos) << line;
+    }
+    pos = src.code.find('\n', pos);
+  }
+  EXPECT_TRUE(saw_mac) << src.code;
+  EXPECT_EQ(src.code.find("free(" + tile + ")"), std::string::npos);
+}
+
+TEST(CodegenUnit, LargeOrSymbolicAllocationsStayOnTheHeap) {
+  // 257 elements is one past the stack limit; an extent read from a buffer has no
+  // constant size at all. Both keep calloc/free, which zero-initializes too.
+  for (bool symbolic : {false, true}) {
+    Var a = make_var("A", DataType::Handle());
+    Var out = make_var("Out", DataType::Handle());
+    Var tmp = make_var("tmp", DataType::Handle());
+    Var n = make_var("n");
+    Stmt body = store(out, load(DataType::Float32(), tmp, make_int(2)), make_int(0));
+    body = allocate(tmp, DataType::Float32(), {symbolic ? Expr(n) : make_int(257)}, "local",
+                    body);
+    body = let_stmt(n, cast(DataType::Int32(), load(DataType::Float32(), a, make_int(0))),
+                    body);
+    LoweredFunc f;
+    f.name = symbolic ? "cg_alloc_symbolic" : "cg_alloc_257";
+    f.args = {BufferArg{a, DataType::Float32(), {1}, "A"},
+              BufferArg{out, DataType::Float32(), {1}, "Out"}};
+    f.body = body;
+    codegen::CSource src = codegen::EmitC(f);
+    ASSERT_TRUE(src.ok) << src.error;
+    EXPECT_NE(src.code.find("calloc("), std::string::npos) << src.code;
+    EXPECT_EQ(src.code.find("= {0};"), std::string::npos) << src.code;
+    std::vector<ArgBuf> bufs =
+        RunAllTiers(f, {Values(DataType::Float32(), {3}), Values(DataType::Float32(), {5})});
+    EXPECT_EQ(OutF(bufs), 0.0f);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // produces random TIR loop nests — mixed dtypes (f32/f16/i8/i32), serial /
 // unrolled / vectorized / parallel loops, padding guards, floormod-clamped
 // gather indices, wrap-casts bounding int products, expression lets, lazy
-// conditionals, and CSR-style indirect addressing (gathers and scatters through
-// a runtime i32 index buffer, in serial and vectorized loop bodies) — and every
+// conditionals, float division, sqrt and log, narrowing casts of constants,
+// int -> float promotions above 2^24 (shapes whose bits depend on rounding
+// every float operation to f32), and CSR-style indirect addressing (gathers and
+// scatters through a runtime i32 index buffer, in serial and vectorized loop
+// bodies) — and every
 // program runs on the reference interpreter, the bytecode VM, and the AOT
 // native kernel. All three buffers must be *bitwise* identical.
 //
@@ -19,6 +22,7 @@
 // the seed and case index so the failure reproduces from the log alone.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -257,7 +261,7 @@ class CaseGen {
       return Leaf();
     }
     const bool is_float = spec_->dtype.is_float();
-    switch (rng_->Range(0, 7)) {
+    switch (rng_->Range(0, 8)) {
       case 0:
         return add(GenValue(depth - 1), GenValue(depth - 1));
       case 1:
@@ -311,9 +315,59 @@ class CaseGen {
                make_int(spec_->extents[j])),
             LoadLeaf(), make_const(spec_->dtype, 0));
       }
+      case 7:
+        return is_float ? RoundingProbe(depth) : NarrowConst();
       default:
         return Leaf();
     }
+  }
+
+  // Float shapes whose bits depend on rounding every operation to f32: division,
+  // sqrt and log (denominators and arguments clamped so results stay finite),
+  // narrowing casts of constants, and int -> float promotions above 2^24.
+  Expr RoundingProbe(int depth) {
+    const DataType t = spec_->dtype;
+    switch (rng_->Range(0, 4)) {
+      case 0: {
+        Expr d = GenValue(depth - 1);
+        d = rng_->Chance(0.5) ? max(d, make_const(t, 0.25)) : min(d, make_const(t, -0.25));
+        return div(GenValue(depth - 1), d);
+      }
+      case 1:
+        return sqrt(max(GenValue(depth - 1), make_const(t, 0.0)));
+      case 2:
+        return log(max(GenValue(depth - 1), make_const(t, 0.0625 + rng_->Real())));
+      case 3:
+        return rng_->Chance(0.5) ? cast(t, cast(DataType::Float16(), make_const(
+                                                   DataType::Float32(), rng_->Real() * 4 - 2)))
+                                 : cast(t, NarrowConst());
+      default: {
+        // (big + k) - big with big above 2^24: under f32 promotion the difference
+        // is a multiple of the f32 spacing there, not k. The f32 difference stays
+        // small, so an f16 case stays finite too.
+        const int64_t big = rng_->Range(int64_t{1} << 24, int64_t{1} << 30);
+        Expr k = rng_->Chance(0.5)
+                     ? Expr(spec_->loop_vars[static_cast<size_t>(rng_->Range(
+                           0, static_cast<int64_t>(spec_->loop_vars.size()) - 1))])
+                     : make_int(rng_->Range(0, 7));
+        Expr promoted = cast(DataType::Float32(), add(make_int(big), k));
+        Expr big_f = make_const(DataType::Float32(), static_cast<double>(big));
+        return cast(t, sub(promoted, big_f));
+      }
+    }
+  }
+
+  // A narrowing int cast of a constant: an int constant out of int8 range, or a
+  // float constant within 2^-20 of an integer (f32 rounds it onto the integer
+  // before the cast truncates). The cast wraps to the target width.
+  Expr NarrowConst() {
+    const DataType narrow = rng_->Chance(0.5) ? DataType::Int8() : DataType::UInt(8);
+    if (rng_->Chance(0.5)) {
+      return cast(narrow, make_const(DataType::Int32(), rng_->Range(-1000, 1000)));
+    }
+    const double near = static_cast<double>(rng_->Range(-300, 300)) +
+                        (rng_->Chance(0.5) ? -1.0 : 1.0) * std::ldexp(1.0, -20);
+    return cast(narrow, make_const(DataType::Float32(), near));
   }
 
   SplitMix64* rng_;

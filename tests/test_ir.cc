@@ -60,6 +60,16 @@ TEST(StructuralEqualTest, Basics) {
   EXPECT_FALSE(StructuralEqual(x + 1, y + 1));
 }
 
+TEST(StructuralEqualTest, SignedZerosDiffer) {
+  // 0.0 == -0.0 numerically, but they are different immediates: Simplify must not
+  // fold select(c, 0.0, -0.0) to one arm.
+  EXPECT_TRUE(StructuralEqual(make_float(-0.0), make_float(-0.0)));
+  EXPECT_FALSE(StructuralEqual(make_float(0.0), make_float(-0.0)));
+  Var x = make_var("x");
+  Expr e = Simplify(select(lt(Expr(x), make_int(1)), make_float(0.0), make_float(-0.0)));
+  EXPECT_EQ(e->kind, ExprKind::kSelect) << ToString(e);
+}
+
 TEST(SimplifyTest, LinearCancellation) {
   Var by = make_var("by"), ty = make_var("ty");
   // (by*4 + ty) - by*4 -> ty
