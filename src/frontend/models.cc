@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/runtime/csr.h"
+#include "src/support/random.h"
 
 namespace tvmcpp {
 namespace frontend {
@@ -22,6 +23,9 @@ std::shared_ptr<graph::CompiledGraph> CompileModel(const Model& m, const Target&
 
 namespace {
 
+// Output-channel block of the zoo's conv2d kernels.
+constexpr int64_t kConvBlock = 8;
+
 // Adds a parameter node + random value.
 int Param(Model* m, const std::string& name, std::vector<int64_t> shape, uint64_t seed) {
   int id = m->graph.AddConst(name, shape);
@@ -29,10 +33,19 @@ int Param(Model* m, const std::string& name, std::vector<int64_t> shape, uint64_
   return id;
 }
 
+// Adds a conv2d weight node [out_c, in_c, k, k] with RandomConvWeight's value.
+int ConvWeight(Model* m, const std::string& name, int64_t out_c, int64_t in_c, int64_t k,
+               uint64_t seed) {
+  NDArray w = RandomConvWeight(out_c, in_c, k, seed);
+  int id = m->graph.AddConst(name, w.shape());
+  m->params[name] = std::move(w);
+  return id;
+}
+
 // conv -> bn -> relu block.
 int ConvBnRelu(Model* m, int data, const std::string& name, int in_c, int out_c, int k,
                int stride, int pad, uint64_t seed, bool relu = true) {
-  int w = Param(m, name + "_w", {out_c, in_c, k, k}, seed);
+  int w = ConvWeight(m, name + "_w", out_c, in_c, k, seed);
   int conv = m->graph.AddOp("conv2d", name, {data, w}, {{"stride", stride}, {"pad", pad}});
   int scale = Param(m, name + "_bn_scale", {out_c}, seed + 1);
   int shift = Param(m, name + "_bn_shift", {out_c}, seed + 2);
@@ -44,6 +57,23 @@ int ConvBnRelu(Model* m, int data, const std::string& name, int in_c, int out_c,
 }
 
 }  // namespace
+
+NDArray RandomConvWeight(int64_t out_c, int64_t in_c, int64_t k, uint64_t seed) {
+  if (out_c % kConvBlock != 0) {
+    return NDArray::Random({out_c, in_c, k, k}, DataType::Float32(), seed);
+  }
+  NDArray w = NDArray::Empty({out_c / kConvBlock, in_c, k, k, kConvBlock});
+  float* p = w.Data<float>();
+  Rng rng(seed);
+  const int64_t taps = in_c * k * k;
+  for (int64_t oc = 0; oc < out_c; ++oc) {
+    for (int64_t t = 0; t < taps; ++t) {
+      p[((oc / kConvBlock) * taps + t) * kConvBlock + oc % kConvBlock] =
+          NDArray::RandomFloat(&rng);
+    }
+  }
+  return w;
+}
 
 Model ResNet18(int batch, int image_size) {
   Model m;
@@ -126,13 +156,13 @@ Model Dqn(int batch) {
   Model m;
   m.input_shape = {batch, 4, 84, 84};
   int data = m.graph.AddInput("data", m.input_shape);
-  int w1 = Param(&m, "c1_w", {32, 4, 8, 8}, 1);
+  int w1 = ConvWeight(&m, "c1_w", 32, 4, 8, 1);
   int c1 = m.graph.AddOp("conv2d", "c1", {data, w1}, {{"stride", 4}, {"pad", 0}});
   int r1 = m.graph.AddOp("relu", "r1", {c1});
-  int w2 = Param(&m, "c2_w", {64, 32, 4, 4}, 2);
+  int w2 = ConvWeight(&m, "c2_w", 64, 32, 4, 2);
   int c2 = m.graph.AddOp("conv2d", "c2", {r1, w2}, {{"stride", 2}, {"pad", 0}});
   int r2 = m.graph.AddOp("relu", "r2", {c2});
-  int w3 = Param(&m, "c3_w", {64, 64, 3, 3}, 3);
+  int w3 = ConvWeight(&m, "c3_w", 64, 64, 3, 3);
   int c3 = m.graph.AddOp("conv2d", "c3", {r2, w3}, {{"stride", 1}, {"pad", 0}});
   int r3 = m.graph.AddOp("relu", "r3", {c3});
   int flat = m.graph.AddOp("flatten", "flat", {r3});

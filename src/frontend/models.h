@@ -45,6 +45,13 @@ Model SparseMlp(int batch = 1, int in_dim = 128, int hidden = 128, int classes =
 Model SparseMlpDenseReference(int batch = 1, int in_dim = 128, int hidden = 128,
                               int classes = 32, double sparsity = 0.95);
 
+// The conv2d weight the zoo binds for an OIHW kernel [out_c, in_c, k, k]: the
+// values NDArray::Random(that shape, seed) draws, in the same Rng order. When 8
+// divides out_c they land straight in OIHW8o positions [out_c/8, in_c, k, k, 8],
+// so the CPU conv template vectorizes one 8-lane f32 vector of output channels
+// and no OIHW copy is ever held; otherwise the kernel stays OIHW.
+NDArray RandomConvWeight(int64_t out_c, int64_t in_c, int64_t k, uint64_t seed);
+
 // Compiles a frontend model for `target` with its parameters bound. Model builders
 // seed their random parameters deterministically per parameter name, so two builds
 // of the same model at different batch sizes carry bitwise-identical weights — which

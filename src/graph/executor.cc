@@ -137,6 +137,9 @@ topi::OpWorkload CompiledGraph::WorkloadOf(const Node& master) const {
   wl.w = static_cast<int>(data.shape[3]);
   wl.oc = static_cast<int>(master.shape[1]);
   wl.k = static_cast<int>(kernel.shape[2]);
+  if (master.op == "conv2d" && kernel.shape.size() == 5) {
+    wl.oc_block = static_cast<int>(kernel.shape[4]);
+  }
   wl.stride = static_cast<int>(master.attrs.count("stride") ? master.attrs.at("stride") : 1);
   wl.pad = static_cast<int>(master.attrs.count("pad") ? master.attrs.at("pad") : 0);
   return wl;

@@ -42,10 +42,12 @@ std::unordered_map<std::string, OpInfo> BuildRegistry() {
   {
     OpInfo conv;
     conv.pattern = OpPattern::kComplexOutFusable;
+    // The kernel is OIHW or, at rank 5, OIHW<b>o [OC/b, IC, KH, KW, b].
     conv.infer_shape = [](const Shapes& in, const Attrs& a) {
       int64_t s = AttrOr(a, "stride", 1), p = AttrOr(a, "pad", 0);
       int64_t k = in[1][2];
-      return std::vector<int64_t>{in[0][0], in[1][0], topi::ConvOutDim(in[0][2], k, s, p),
+      int64_t out_c = in[1].size() == 5 ? in[1][0] * in[1][4] : in[1][0];
+      return std::vector<int64_t>{in[0][0], out_c, topi::ConvOutDim(in[0][2], k, s, p),
                                   topi::ConvOutDim(in[0][3], k, s, p)};
     };
     conv.build = [](const std::vector<Tensor>& in, const Attrs& a, const std::string& name) {

@@ -99,6 +99,11 @@ class NDArray {
     return a;
   }
 
+  // The next float value Random draws from `rng`: uniform in [-1, 1).
+  static float RandomFloat(Rng* rng) {
+    return static_cast<float>(rng->UniformReal() * 2.0 - 1.0);
+  }
+
   // Uniform values in [-1, 1) (float) or [0, 2^min(bits,7)) (int), deterministic by seed.
   static NDArray Random(std::vector<int64_t> shape, DataType dtype, uint64_t seed) {
     NDArray a = Empty(std::move(shape), dtype);
@@ -107,7 +112,7 @@ class NDArray {
     if (dtype.is_float()) {
       float* p = a.Data<float>();
       for (int64_t i = 0; i < n; ++i) {
-        p[i] = static_cast<float>(rng.UniformReal() * 2.0 - 1.0);
+        p[i] = RandomFloat(&rng);
       }
     } else if (InterpElementBytes(dtype) == 1) {
       int8_t* p = a.Data<int8_t>();

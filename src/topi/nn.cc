@@ -42,7 +42,9 @@ Tensor PadNCHW(const Tensor& data, int pad, const std::string& name) {
 Tensor Conv2dNCHW(const Tensor& data, const Tensor& kernel, int stride, int pad,
                   const std::string& name) {
   int64_t batch = Dim(data, 0), in_c = Dim(data, 1), in_h = Dim(data, 2), in_w = Dim(data, 3);
-  int64_t out_c = Dim(kernel, 0), kh = Dim(kernel, 2), kw = Dim(kernel, 3);
+  int64_t block = kernel.ndim() == 5 ? Dim(kernel, 4) : 0;  // OIHW<block>o, or OIHW
+  int64_t out_c = Dim(kernel, 0) * (block > 0 ? block : 1);
+  int64_t kh = Dim(kernel, 2), kw = Dim(kernel, 3);
   int64_t out_h = ConvOutDim(in_h, kh, stride, pad);
   int64_t out_w = ConvOutDim(in_w, kw, stride, pad);
   Tensor padded = PadNCHW(data, pad, name + ".pad");
@@ -54,7 +56,10 @@ Tensor Conv2dNCHW(const Tensor& data, const Tensor& kernel, int stride, int pad,
       [&](const std::vector<Var>& i) {
         Expr h = i[2] * make_int(stride) + ry->var;
         Expr w = i[3] * make_int(stride) + rx->var;
-        Expr val = padded({i[0], rc->var, h, w}) * kernel({i[1], rc->var, ry->var, rx->var});
+        Expr weight = block > 0 ? kernel({i[1] / make_int(block), rc->var, ry->var, rx->var,
+                                          i[1] % make_int(block)})
+                                : kernel({i[1], rc->var, ry->var, rx->var});
+        Expr val = padded({i[0], rc->var, h, w}) * weight;
         return sum(val, {rc, ry, rx});
       },
       name);

@@ -16,8 +16,12 @@ namespace topi {
 // inline it (CPU) or stage it into shared memory (GPU); conv reads it unguarded.
 Tensor PadNCHW(const Tensor& data, int pad, const std::string& name = "pad");
 
-// 2-D convolution, NCHW data [N, C, H, W], OIHW kernel [OC, IC, KH, KW].
-// When pad > 0 the returned op reads an intermediate PadNCHW stage (its first input).
+// 2-D convolution, NCHW data [N, C, H, W]. The kernel is OIHW [OC, IC, KH, KW] or,
+// when it has rank 5, OIHW<b>o [OC/b, IC, KH, KW, b]: output channel oc reads
+// kernel[oc/b, ic, ky, kx, oc%b], so b consecutive output channels of one tap are
+// adjacent in memory and the CPU template vectorizes over them. Both layouts sum
+// the same products in the same order. When pad > 0 the returned op reads an
+// intermediate PadNCHW stage (its first input).
 Tensor Conv2dNCHW(const Tensor& data, const Tensor& kernel, int stride, int pad,
                   const std::string& name = "conv2d");
 

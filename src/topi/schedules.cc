@@ -54,6 +54,9 @@ std::string OpWorkload::Key() const {
     // part of the tuning-cache identity for sparse workloads only.
     os << "_nnz" << nnz << "_rn" << max_row_nnz;
   }
+  if (oc_block > 0) {
+    os << "_OIHW" << oc_block << "o";
+  }
   return os.str();
 }
 
@@ -97,9 +100,13 @@ BuiltOp BuildOpCompute(const OpWorkload& wl) {
   Tensor data = placeholder({make_int(wl.n), make_int(wl.ic), make_int(wl.h), make_int(wl.w)},
                             wl.dtype, "data");
   if (wl.kind == "conv2d") {
-    Tensor kernel = placeholder(
-        {make_int(wl.oc), make_int(wl.ic), make_int(wl.k), make_int(wl.k)}, wl.dtype,
-        "kernel");
+    std::vector<Expr> shape = {make_int(wl.oc), make_int(wl.ic), make_int(wl.k),
+                               make_int(wl.k)};
+    if (wl.oc_block > 0) {
+      shape[0] = make_int(wl.oc / wl.oc_block);
+      shape.push_back(make_int(wl.oc_block));
+    }
+    Tensor kernel = placeholder(shape, wl.dtype, "kernel");
     b.inputs = {data, kernel};
     b.output = Conv2dNCHW(data, kernel, wl.stride, wl.pad);
   } else if (wl.kind == "depthwise_conv2d") {
@@ -181,6 +188,15 @@ ConfigSpace GetScheduleSpace(const OpWorkload& wl, const Target& target) {
         {"unroll", {0, 1}},
         {"vthread", {1, 2}},
     };
+  } else if (wl.oc_block > 0) {
+    // The kernel layout fixes the oc tile at one block. tile_ow = 1 keeps the
+    // accumulator tile one contiguous vector of the block's channels.
+    space.knobs = {
+        {"tile_ow", DivisorChoices(out_w, 1, 32), 0},
+        {"vectorize", {0, 1}},
+        {"parallel", {0, 1}},
+        {"unroll", {0, 1}},
+    };
   } else {
     space.knobs = {
         {"tile_oc", DivisorChoices(channels, 1, 32)},
@@ -196,7 +212,8 @@ ConfigSpace GetScheduleSpace(const OpWorkload& wl, const Target& target) {
 Config DefaultConfig(const ConfigSpace& space) {
   Config c;
   for (const KnobSpec& k : space.knobs) {
-    c[k.name] = k.choices[k.choices.size() / 2];
+    c[k.name] = k.choices[k.default_index >= 0 ? static_cast<size_t>(k.default_index)
+                                               : k.choices.size() / 2];
   }
   return c;
 }
@@ -385,9 +402,19 @@ void ScheduleDenseGpu(const Schedule& s, const Tensor& out, const Tensor& master
 // the oc x ow output tile: each operand load then feeds a row of accumulators
 // that stay in the tile instead of one accumulator reloaded per MAC. Every output
 // element still sums its terms in the same order as the unscheduled compute.
+//
+// An OIHW kernel tiles oc by the tile_oc knob and vectorizes the ow tile. An
+// OIHW<b>o kernel (wl.oc_block = b) fixes the oc tile at one block and puts it
+// innermost, ow outside it: the MAC's vectorized oc loop then loads b unit-stride
+// weights of one tap, broadcasts one input value, and (at tile_ow = 1) accumulates
+// into one contiguous float[b]. A fused epilogue stays scalar: its NCHW stores
+// are oh * ow apart across the block, and vectorizing them measured slower.
 void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
-                     const Config& cfg, bool depthwise) {
-  int64_t toc = At(cfg, "tile_oc", 4);
+                     const Config& cfg, const OpWorkload& wl) {
+  const bool depthwise = wl.kind == "depthwise_conv2d";
+  const bool blocked = wl.oc_block > 0;
+  const bool fused = out != master;
+  int64_t toc = blocked ? wl.oc_block : At(cfg, "tile_oc", 4);
   int64_t tow = At(cfg, "tile_ow", 8);
   bool vec = At(cfg, "vectorize", 1) != 0;
   bool par = At(cfg, "parallel", 1) != 0;
@@ -408,8 +435,12 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
   if (par) {
     so->parallel(oco);
   }
-  if (vec) {
-    so->vectorize(owi);
+  // The output tile, innermost axis last. It is vectorized unless it is the scalar
+  // epilogue around a blocked master.
+  std::vector<IterVar> tile = blocked ? std::vector<IterVar>{owi, oci}
+                                      : std::vector<IterVar>{oci, owi};
+  if (vec && !(blocked && fused)) {
+    so->vectorize(tile.back());
   }
   // `outer`, then the reduction axes of `leaves` (from index 4 on), then `tile`.
   auto reduction_above = [](std::vector<IterVar> outer, const std::vector<IterVar>& leaves,
@@ -418,19 +449,25 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
     outer.insert(outer.end(), tile.begin(), tile.end());
     return outer;
   };
-  if (out != master) {
-    // The master computes one oc x ow tile at owo: n, oh, [rc,] ry, rx, oc, ow.
-    so->reorder({axes[0], oco, axes[2], owo, oci, owi});
+  if (fused) {
+    // The master computes one oc x ow tile at owo: n, oh, [rc,] ry, rx, then the
+    // tile (oc, ow; or ow, oc vectorized for a blocked kernel).
+    so->reorder({axes[0], oco, axes[2], owo, tile[0], tile[1]});
     Stage sm = (*s)[master];
     sm->compute_at(so, owo);
     std::vector<IterVar> m = sm->leaf_iter_vars;
-    sm->reorder(reduction_above({m[0], m[2]}, m, {m[1], m[3]}));
+    std::vector<IterVar> m_tile =
+        blocked ? std::vector<IterVar>{m[3], m[1]} : std::vector<IterVar>{m[1], m[3]};
+    sm->reorder(reduction_above({m[0], m[2]}, m, m_tile));
+    if (blocked && vec) {
+      sm->vectorize(m[1]);
+    }
     if (unroll && !depthwise) {
       sm->unroll(m.back());  // rx
     }
   } else {
-    // n, oco, oh, owo, [rc,] ry, rx, oci, owi.
-    so->reorder(reduction_above({axes[0], oco, axes[2], owo}, axes, {oci, owi}));
+    // n, oco, oh, owo, [rc,] ry, rx, then the tile.
+    so->reorder(reduction_above({axes[0], oco, axes[2], owo}, axes, tile));
     if (unroll) {
       so->unroll(axes.back());  // rx
     }
@@ -577,7 +614,7 @@ Schedule ApplyOpSchedule(const OpWorkload& wl, const Target& target, const Built
       }
       ScheduleInjective(target, s, built.output);
     } else {
-      ScheduleConvCpu(s, built.output, built.output, config, wl.kind == "depthwise_conv2d");
+      ScheduleConvCpu(s, built.output, built.output, config, wl);
     }
   }
   return s;
@@ -620,8 +657,7 @@ Schedule ScheduleFusedGroup(const Target& target, const std::vector<Tensor>& gro
         } else if (master_wl->kind == "dense") {
           ScheduleDenseCpu(s, out, master, config);
         } else if (master_wl->kind != "conv2d_transpose") {
-          ScheduleConvCpu(s, out, master, config,
-                          master_wl->kind == "depthwise_conv2d");
+          ScheduleConvCpu(s, out, master, config, *master_wl);
         } else {
           ScheduleInjective(target, s, out);
         }
@@ -649,7 +685,7 @@ Schedule ScheduleFusedGroup(const Target& target, const std::vector<Tensor>& gro
     } else if (master_wl != nullptr && master_wl->kind == "dense") {
       ScheduleDenseCpu(s, out, master, config);
     } else if (master_wl != nullptr && master_wl->kind != "conv2d_transpose") {
-      ScheduleConvCpu(s, out, master, config, master_wl->kind == "depthwise_conv2d");
+      ScheduleConvCpu(s, out, master, config, *master_wl);
     } else {
       ScheduleInjective(target, s, out);
       (*s)[master]->compute_at((*s)[out], (*s)[out]->leaf_iter_vars.back());

@@ -25,6 +25,8 @@ using Config = std::map<std::string, int64_t>;
 struct KnobSpec {
   std::string name;
   std::vector<int64_t> choices;
+  // Index of the untuned default in `choices`; -1 takes the median choice.
+  int default_index = -1;
 };
 
 // Cartesian space of knob choices, indexable in mixed radix.
@@ -83,6 +85,9 @@ struct OpWorkload {
   // pinned by the tuning-cache tests) are unchanged.
   int64_t nnz = 0;
   int64_t max_row_nnz = 0;
+  // conv2d only: output-channel block b of an OIHW<b>o kernel, 0 for OIHW. Appended
+  // to Key() only when nonzero, so OIHW keys are unchanged.
+  int oc_block = 0;
   DataType dtype = DataType::Float32();
 
   std::string Key() const;
@@ -109,7 +114,7 @@ ConfigSpace GetScheduleSpace(const OpWorkload& wl, const Target& target);
 Schedule ApplyOpSchedule(const OpWorkload& wl, const Target& target, const BuiltOp& built,
                          const Config& config);
 
-// A reasonable untuned default config (median choices).
+// A reasonable untuned default config (each knob's default_index, else its median).
 Config DefaultConfig(const ConfigSpace& space);
 
 // --- Generic building blocks used by the graph compiler -----------------------------

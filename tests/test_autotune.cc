@@ -578,6 +578,67 @@ TEST(TuningCache, TunedBitwiseEqualUntunedStrict) {
   }
 }
 
+// A conv2d over an OIHW8o kernel [oc/8, ic, kh, kw, 8], oc = 16.
+graph::Graph BlockedConvGraph() {
+  graph::Graph g;
+  int data = g.AddInput("data", {1, 8, 14, 14}, DataType::Float32());
+  int w = g.AddConst("w", {2, 8, 3, 3, 8}, DataType::Float32());
+  g.outputs = {g.AddOp("conv2d", "conv", {data, w}, {{"stride", 1}, {"pad", 1}})};
+  return g;
+}
+
+TEST(TuningCache, BlockedConvHasItsOwnSpaceAndKey) {
+  ScopedCleanGlobalCache clean;
+  ScopedStrictMode strict;
+  const Target cpu = Target::ArmA53();
+  auto run = [](graph::GraphExecutor& e) {
+    e.SetParam("w", NDArray::Random({2, 8, 3, 3, 8}, DataType::Float32(), 10));
+    e.SetInput("data", NDArray::Random({1, 8, 14, 14}, DataType::Float32(), 9));
+    e.Run();
+    return e.GetOutput(0).Copy();
+  };
+  graph::GraphExecutor untuned(BlockedConvGraph(), cpu);
+  ASSERT_EQ(untuned.workloads().size(), 1u);
+  const topi::OpWorkload blocked = untuned.workloads()[0];
+  EXPECT_EQ(blocked.oc, 16);
+  EXPECT_EQ(blocked.oc_block, 8);
+  topi::OpWorkload oihw = blocked;
+  oihw.oc_block = 0;
+  EXPECT_NE(blocked.Key(), oihw.Key());
+  EXPECT_NE(TuningKey(blocked, cpu), TuningKey(oihw, cpu));
+  EXPECT_EQ(TuningTask(blocked, cpu).CacheKey(), TuningKey(blocked, cpu));
+
+  // The layout fixes the oc tile, so the space has no tile_oc knob, and its
+  // untuned default keeps the accumulator one vector (tile_ow = 1).
+  const topi::ConfigSpace space = topi::GetScheduleSpace(blocked, cpu);
+  for (const topi::KnobSpec& k : space.knobs) {
+    EXPECT_NE(k.name, "tile_oc");
+  }
+  ASSERT_GT(space.size(), 1);
+  EXPECT_EQ(topi::DefaultConfig(space).at("tile_ow"), 1);
+  EXPECT_EQ(untuned.compiled()->chosen_configs().at(blocked.Key()), topi::DefaultConfig(space));
+
+  // An entry tuned for the OIHW kernel is a clean miss: the untuned default.
+  TuningCacheEntry stale;
+  stale.key = TuningKey(oihw, cpu);
+  stale.config = ExtremeConfig(topi::GetScheduleSpace(oihw, cpu));
+  GlobalTuningCache().Put(stale);
+  graph::GraphExecutor after_stale(BlockedConvGraph(), cpu);
+  EXPECT_EQ(after_stale.compiled()->num_cache_tuned_kernels(), 0);
+  EXPECT_EQ(after_stale.compiled()->chosen_configs().at(blocked.Key()),
+            topi::DefaultConfig(space));
+
+  // An entry under the blocked key is a hit, and changes no output bit.
+  TuningCacheEntry fresh;
+  fresh.key = TuningKey(blocked, cpu);
+  fresh.config = ExtremeConfig(space);
+  GlobalTuningCache().Put(fresh);
+  graph::GraphExecutor tuned(BlockedConvGraph(), cpu);
+  EXPECT_EQ(tuned.compiled()->num_cache_tuned_kernels(), 1);
+  EXPECT_EQ(tuned.compiled()->chosen_configs().at(blocked.Key()), fresh.config);
+  ExpectBitwiseEqual(run(tuned), run(untuned), "blocked conv2d tuned-vs-untuned");
+}
+
 // Serving integration: a lazily compiled batch-N variant finds its *own* cache
 // entry (batch-N workload key), independent of batch-1 — and stays bitwise-equal
 // to per-request runs.

@@ -314,11 +314,14 @@ TEST(CodegenDiff, ConvRelu3x3I8) {
 
 TEST(CodegenDiff, ConvTemplateShapesBothBranches) {
   // The CPU conv template (root pad stage, reduction above the oc x ow tile) over
-  // ResNet-style shapes, in both branches and both float widths.
+  // ResNet-style shapes, in both branches and both float widths. The last three
+  // rows carry OIHW8o kernels (oc_block 8).
   const topi::OpWorkload shapes[] = {
       {"conv2d", 1, 8, 8, 4, 8, 3, 1, 1},  {"conv2d", 1, 9, 9, 4, 8, 3, 2, 1},
       {"conv2d", 1, 12, 12, 3, 8, 7, 2, 3}, {"conv2d", 1, 8, 8, 8, 16, 1, 2, 0},
-      {"depthwise_conv2d", 1, 8, 8, 8, 8, 3, 1, 1}};
+      {"depthwise_conv2d", 1, 8, 8, 8, 8, 3, 1, 1},
+      {"conv2d", 1, 8, 8, 4, 16, 3, 1, 1, 0, 0, 8}, {"conv2d", 1, 9, 9, 4, 8, 3, 2, 1, 0, 0, 8},
+      {"conv2d", 1, 12, 12, 3, 8, 7, 2, 3, 0, 0, 8}};
   uint64_t seed = 37;
   for (topi::OpWorkload wl : shapes) {
     for (DataType dtype : {DataType::Float32(), DataType::Float16()}) {
@@ -657,6 +660,99 @@ TEST(CodegenGraph, DenseChainNativeRebatched) {
     }
     ExpectBitwiseEqual(native_out, interp_out,
                        "dense chain batch " + std::to_string(batch));
+  }
+  EXPECT_EQ(vm::FallbackCount(), 0);
+}
+
+// One conv2d with a fused batch_norm + residual add + relu epilogue (or, unfused,
+// four kernels), over `kernel`'s layout. `tile_ow` > 0 pins that knob through an
+// explicit config; 0 keeps the untuned default.
+std::shared_ptr<graph::CompiledGraph> CompileConvBnAddRelu(const topi::OpWorkload& wl,
+                                                           const NDArray& kernel, bool fused,
+                                                           int64_t tile_ow) {
+  graph::Graph g;
+  int x = g.AddInput("data", {wl.n, wl.ic, wl.h, wl.w});
+  int w = g.AddConst("w", kernel.shape());
+  int conv = g.AddOp("conv2d", "conv", {x, w}, {{"stride", wl.stride}, {"pad", wl.pad}});
+  int scale = g.AddConst("scale", {wl.oc});
+  int shift = g.AddConst("shift", {wl.oc});
+  int bn = g.AddOp("batch_norm", "bn", {conv, scale, shift});
+  int res = g.AddInput("res", g.node(conv).shape);
+  int sum = g.AddOp("add", "add", {bn, res});
+  g.outputs = {g.AddOp("relu", "relu", {sum})};
+  topi::OpWorkload key = wl;
+  key.oc_block = kernel.shape().size() == 5 ? static_cast<int>(kernel.shape()[4]) : 0;
+  graph::TunedConfigs tuned;
+  topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(key, Target::ArmA53()));
+  if (tile_ow > 0) {
+    config["tile_ow"] = tile_ow;
+  }
+  tuned[key.Key()] = config;
+  graph::CompileOptions options;
+  options.enable_fusion = fused;
+  options.use_tuning_cache = false;
+  options.tuned = &tuned;
+  auto model = std::make_shared<graph::CompiledGraph>(std::move(g), Target::ArmA53(), options);
+  EXPECT_EQ(model->chosen_configs().at(key.Key()), config) << "the conv kept another config";
+  model->SetParam("w", kernel);
+  model->SetParam("scale", NDArray::Random({wl.oc}, DataType::Float32(), 83));
+  model->SetParam("shift", NDArray::Random({wl.oc}, DataType::Float32(), 89));
+  return model;
+}
+
+NDArray RunConvBnAddRelu(const std::shared_ptr<const graph::CompiledGraph>& model,
+                         const topi::OpWorkload& wl, int batch) {
+  std::vector<int64_t> out_shape = {batch * wl.n, wl.oc,
+                                    topi::ConvOutDim(wl.h, wl.k, wl.stride, wl.pad),
+                                    topi::ConvOutDim(wl.w, wl.k, wl.stride, wl.pad)};
+  return RunModelOnce(
+      model,
+      {{"data", NDArray::Random({batch * wl.n, wl.ic, wl.h, wl.w}, DataType::Float32(), 97)},
+       {"res", NDArray::Random(out_shape, DataType::Float32(), 101)}});
+}
+
+TEST(CodegenGraph, BlockedConvMatchesOihwOnEveryTier) {
+  // frontend::RandomConvWeight lays the values NDArray::Random draws for an OIHW
+  // kernel out as OIHW8o when 8 divides oc. Both layouts sum the same products in
+  // the same order, so the blocked conv must equal the OIHW conv bitwise on every
+  // tier: fused (bn + residual add + relu epilogue) at tile_ow 1 and 2, unfused,
+  // and batched by Rebatched(2). oc = 12 keeps its OIHW kernel.
+  ScopedStrictMode strict;
+  vm::ResetFallbackCount();
+  const topi::OpWorkload cases[] = {
+      {"conv2d", 1, 8, 8, 8, 8, 3, 1, 1},   {"conv2d", 1, 8, 8, 8, 64, 3, 2, 1},
+      {"conv2d", 1, 12, 12, 3, 64, 7, 2, 3}, {"conv2d", 1, 8, 8, 8, 8, 1, 2, 0},
+      {"conv2d", 1, 6, 6, 8, 64, 1, 1, 0},   {"conv2d", 1, 6, 6, 8, 12, 3, 1, 1}};
+  const std::pair<ExecEngine, const char*> tiers[] = {
+      {ExecEngine::kInterp, "interp"}, {ExecEngine::kVm, "vm"}, {ExecEngine::kNative, "native"}};
+  uint64_t seed = 107;
+  for (const topi::OpWorkload& wl : cases) {
+    SCOPED_TRACE(wl.Key());
+    const NDArray oihw = NDArray::Random({wl.oc, wl.ic, wl.k, wl.k}, DataType::Float32(), seed);
+    const NDArray kernel = frontend::RandomConvWeight(wl.oc, wl.ic, wl.k, seed++);
+    ASSERT_EQ(kernel.shape().size(), wl.oc % 8 == 0 ? 5u : 4u);
+    NDArray reference;
+    for (const auto& [engine, tier] : tiers) {
+      SCOPED_TRACE(tier);
+      ScopedEngine scoped(engine);
+      NDArray want = RunConvBnAddRelu(CompileConvBnAddRelu(wl, oihw, true, 0), wl, 1);
+      if (!reference.defined()) {
+        reference = want;
+      }
+      ExpectBitwiseEqual(want, reference, "OIHW vs the interpreter's OIHW");
+      for (int64_t tile_ow : {1, 2}) {
+        ExpectBitwiseEqual(RunConvBnAddRelu(CompileConvBnAddRelu(wl, kernel, true, tile_ow), wl, 1),
+                           want, "blocked, fused, tile_ow " + std::to_string(tile_ow));
+      }
+      ExpectBitwiseEqual(RunConvBnAddRelu(CompileConvBnAddRelu(wl, kernel, false, 0), wl, 1),
+                         want, "blocked, unfused");
+      if (wl.oc == 64 && wl.k == 3) {
+        ExpectBitwiseEqual(
+            RunConvBnAddRelu(CompileConvBnAddRelu(wl, kernel, true, 0)->Rebatched(2), wl, 2),
+            RunConvBnAddRelu(CompileConvBnAddRelu(wl, oihw, true, 0)->Rebatched(2), wl, 2),
+            "blocked vs OIHW, Rebatched(2)");
+      }
+    }
   }
   EXPECT_EQ(vm::FallbackCount(), 0);
 }
@@ -1110,6 +1206,77 @@ TEST(CodegenUnit, ConvTileIsAStackArrayWithAnF32Mac) {
   }
   EXPECT_TRUE(saw_mac) << src.code;
   EXPECT_EQ(src.code.find("free(" + tile + ")"), std::string::npos);
+}
+
+// The bracketed index of the first `array[` in `line`, brackets included.
+std::string IndexOf(const std::string& line, const std::string& array) {
+  const size_t open = line.find(array + "[");
+  if (open == std::string::npos) {
+    return "";
+  }
+  int depth = 0;
+  for (size_t i = open + array.size(); i < line.size(); ++i) {
+    depth += line[i] == '[' ? 1 : line[i] == ']' ? -1 : 0;
+    if (depth == 0) {
+      return line.substr(open + array.size(), i + 1 - open - array.size());
+    }
+  }
+  return "";
+}
+
+TEST(CodegenUnit, BlockedConvMacRunsOverTheChannelBlock) {
+  // A fused OIHW8o conv at its default tile_ow = 1: the accumulator is a zeroed
+  // stack float[8], and the MAC's innermost loop runs over the 8-channel block.
+  // In that loop the weights (a1) are read at unit stride in the lane, the input
+  // value is one broadcast load, and no index divides or takes a modulo.
+  topi::OpWorkload wl{"conv2d", 1, 8, 8, 16, 16, 3, 1, 1};
+  wl.oc_block = 8;
+  std::vector<Tensor> t;
+  LoweredFunc f = BuildConvCase(wl, /*fused=*/true, &t, "cg_conv_blocked", /*parallel=*/0);
+  codegen::CSource src = codegen::EmitC(f);
+  ASSERT_TRUE(src.ok) << src.error;
+  const std::string& code = src.code;
+  const size_t decl = code.find("[8] = {0};");
+  ASSERT_NE(decl, std::string::npos) << code;
+  const size_t decl_start = code.rfind('\n', decl) + 1;
+  const size_t name_start = code.find("float ", decl_start) + 6;
+  ASSERT_LT(name_start, decl) << code;
+  const std::string tile = code.substr(name_start, decl - name_start);
+  EXPECT_EQ(code.find("free(" + tile + ")"), std::string::npos);
+
+  // The MAC: a store to the tile whose value multiplies.
+  size_t mac = std::string::npos;
+  for (size_t pos = code.find(tile + "["); pos != std::string::npos;
+       pos = code.find(tile + "[", pos + 1)) {
+    const size_t bol = code.rfind('\n', pos) + 1;
+    const std::string line = code.substr(bol, code.find('\n', pos) - bol);
+    if (line.find(tile + "[") < line.find(" = ") && line.find(" * ") != std::string::npos) {
+      mac = bol;
+      break;
+    }
+  }
+  ASSERT_NE(mac, std::string::npos) << code;
+  const std::string line = code.substr(mac, code.find('\n', mac) - mac);
+  // The innermost loop around it is the 8-lane loop of the block.
+  const size_t loop = code.rfind("for (", mac);
+  ASSERT_NE(loop, std::string::npos);
+  const std::string header = code.substr(loop, code.find('\n', loop) - loop);
+  const size_t lane_start = header.find("int64_t ") + 8;
+  const std::string lane = header.substr(lane_start, header.find(' ', lane_start) - lane_start);
+  EXPECT_EQ(header, "for (int64_t " + lane + " = 0; " + lane + " < 8; ++" + lane + ") {")
+      << "the MAC's innermost loop is not the 8-channel block:\n" << code;
+  const std::string unit_lane = "(int64_t)" + lane + " * INT64_C(1))";
+  const std::string weight = IndexOf(line, "a1");
+  EXPECT_NE(weight.find(unit_lane), std::string::npos) << line;
+  EXPECT_NE(IndexOf(line.substr(line.find(" = ")), tile).find(unit_lane), std::string::npos)
+      << line;
+  const size_t input_at = line.find("conv2d_pad");
+  ASSERT_NE(input_at, std::string::npos) << line;
+  const std::string input = line.substr(input_at, line.find(']', input_at) - input_at);
+  EXPECT_EQ(input.find(lane), std::string::npos) << "input load varies with the lane: " << line;
+  for (const char* op : {" / ", " % ", "tn_floordiv", "tn_floormod"}) {
+    EXPECT_EQ(line.find(op), std::string::npos) << op << " in the MAC: " << line;
+  }
 }
 
 TEST(CodegenUnit, LargeOrSymbolicAllocationsStayOnTheHeap) {
