@@ -39,7 +39,7 @@ std::string HexU64(uint64_t v) {
 
 // Stands for the kernel's own symbol in the names of its outlined parallel bodies
 // until the symbol (a hash of the emitted text) is known. '@' appears nowhere else
-// in emitted code: identifiers are sanitized and CEscape escapes it.
+// in emitted code: identifiers are positional and CEscape escapes it.
 constexpr const char* kSelf = "tn@";
 
 // Size rule for running a kParallel loop on the caller's pool: its static work, the
@@ -75,19 +75,6 @@ double StaticWork(const ForNode* loop) {
     }
   });
   return work * lanes;
-}
-
-std::string SanitizeIdent(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
 }
 
 std::string CEscape(const std::string& s) {
@@ -187,12 +174,14 @@ class CEmitter {
 
   std::string NewTemp() { return "t" + std::to_string(temp_counter_++); }
 
+  // Positional, so kernels that differ only in the names of their graph nodes emit
+  // the same text.
   std::string VarName(const VarNode* v) {
     auto it = var_names_.find(v);
     if (it != var_names_.end()) {
       return it->second;
     }
-    std::string name = SanitizeIdent(v->name) + "_" + std::to_string(temp_counter_++);
+    std::string name = "v" + std::to_string(temp_counter_++);
     var_names_[v] = name;
     return name;
   }
@@ -564,6 +553,10 @@ class CEmitter {
     ++indent_;
     Line("int64_t " + tmin + " = " + AsI(min_v) + ";");
     Line("int64_t " + text + " = " + AsI(ext) + ";");
+    const IntImmNode* unroll = as_int(n->extent);
+    if (n->for_type == ForType::kUnrolled && unroll != nullptr && unroll->value > 1) {
+      Line("#pragma GCC unroll " + std::to_string(unroll->value));
+    }
     Line("for (int64_t " + lv + " = " + tmin + "; " + lv + " < " + tmin + " + " + text +
          "; ++" + lv + ") {");
     ++indent_;
@@ -1041,11 +1034,11 @@ CSource EmitC(const LoweredFunc& func) {
     src.error = emitter.error();
     return src;
   }
-  // Content-addressed symbol: stable for identical (name, emitted text) pairs, so
-  // identical kernels dedupe inside a module and across cache entries.
+  // Content-addressed symbol: a hash of the emitted text alone, so workload-identical
+  // kernels share one symbol and dedupe inside a module and across cache entries.
   std::string text = emitter.outlined() + "void " + kSelf +
                      "(void** bufs, const tn_launcher* par) {\n" + fn_body + "}\n";
-  src.symbol = "tn_" + SanitizeIdent(func.name) + "_" + HexU64(Fnv1a(func.name + "\n" + text));
+  src.symbol = "tn_" + HexU64(Fnv1a(text));
   for (size_t pos = text.find(kSelf); pos != std::string::npos;
        pos = text.find(kSelf, pos + src.symbol.size())) {
     text.replace(pos, std::string(kSelf).size(), src.symbol);

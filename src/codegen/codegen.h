@@ -2,7 +2,8 @@
 //
 // EmitC lowers a LoweredFunc body through the VM's preprocessing pipeline minus loop
 // specialization (PrepareHostBody, then Simplify; the unrolling and
-// hoisting SpecializeLoops does for the VM, `cc -O2` does here) and pretty-prints
+// hoisting SpecializeLoops does for the VM, `cc -O2` does here, with a
+// `#pragma GCC unroll` on each constant-extent kUnrolled loop) and pretty-prints
 // the result as a self-contained C function over the interpreter's widened buffer
 // layout (float16 stored as float, int8 as int8_t, ...):
 //
@@ -38,7 +39,9 @@ namespace codegen {
 
 // One emitted kernel: a C function definition (no includes; pairs with Preamble()).
 struct CSource {
-  std::string symbol;  // C function name, content-addressed (stable across runs)
+  // C function name: tn_<hash of the emitted text>. Variables are named
+  // positionally, so kernels that differ only in their graph nodes' names share it.
+  std::string symbol;
   std::string code;    // outlined parallel bodies, then the kernel function
   bool ok = false;
   std::string error;   // first unsupported construct when !ok

@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -24,9 +25,10 @@ namespace codegen {
 
 namespace {
 
-// Flags that pin bitwise float semantics (see the header comment).
+// Flags that pin bitwise float semantics and target the host's vector ISA (see the
+// header comment).
 constexpr const char* kCompileFlags =
-    "-O2 -fPIC -shared -std=gnu11 -ffp-contract=off -fno-builtin";
+    "-O2 -march=native -fPIC -shared -std=gnu11 -ffp-contract=off -fno-builtin";
 
 std::atomic<int64_t> g_emits{0};
 std::atomic<int64_t> g_emit_failures{0};
@@ -53,6 +55,42 @@ std::string HexU64(uint64_t v) {
 std::string CompilerPath() {
   const char* cc = std::getenv("TVMCPP_NATIVE_CC");
   return (cc != nullptr && *cc != '\0') ? cc : "cc";
+}
+
+// The target options `cc -march=native` resolves to on this host: gcc's expanded
+// -march=/-m<feature> flags, or clang's -target-cpu and -target-feature values,
+// read from the driver's dry run (`-###`, which runs no compiler pass). "unknown"
+// when the driver cannot say. Probed once per compiler.
+std::string HostIsa(const std::string& cc) {
+  static std::mutex mu;
+  static auto* cache = new std::unordered_map<std::string, std::string>();
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = cache->find(cc);
+  if (it != cache->end()) {
+    return it->second;
+  }
+  std::string isa;
+  std::string cmd = cc + " -march=native -### -x c -c /dev/null -o /dev/null 2>&1";
+  if (FILE* p = ::popen(cmd.c_str(), "r")) {
+    std::string out;
+    char buf[4096];
+    for (size_t n; (n = std::fread(buf, 1, sizeof(buf), p)) > 0;) {
+      out.append(buf, n);
+    }
+    ::pclose(p);
+    std::istringstream tokens(out);
+    std::string prev;
+    for (std::string tok; tokens >> tok; prev = tok) {
+      tok.erase(std::remove(tok.begin(), tok.end(), '"'), tok.end());
+      if (tok.rfind("-m", 0) == 0 || prev == "-target-cpu" || prev == "-target-feature") {
+        isa += (isa.empty() ? "" : " ") + tok;
+      }
+    }
+  }
+  if (isa.empty()) {
+    isa = "unknown";
+  }
+  return cache->emplace(cc, isa).first->second;
 }
 
 // mkdir -p; best effort (the subsequent fopen/compile surfaces real failures).
@@ -167,8 +205,10 @@ KernelFn NativeModule::Get(const std::string& symbol) const {
 
 std::shared_ptr<NativeModule> CompileNativeModule(const std::vector<CSource>& srcs) {
   // Assemble one translation unit; identical kernels (content-addressed symbols)
-  // dedupe here.
-  std::string full = Preamble();
+  // dedupe here. The ISA line puts the host's vector ISA into the content hash, so a
+  // cache directory shared across CPUs never hands one host another's code.
+  std::string cc = CompilerPath();
+  std::string full = "/* isa: " + HostIsa(cc) + " */\n" + Preamble();
   std::vector<std::string> symbols;
   std::unordered_set<std::string> seen;
   for (const CSource& s : srcs) {
@@ -184,7 +224,6 @@ std::shared_ptr<NativeModule> CompileNativeModule(const std::vector<CSource>& sr
   if (symbols.empty()) {
     return nullptr;
   }
-  std::string cc = CompilerPath();
   uint64_t hash = Fnv1a(full + "\n/*flags*/" + kCompileFlags + "\n/*cc*/" + cc);
 
   {

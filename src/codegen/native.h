@@ -7,7 +7,9 @@
 // whole fuzzer batch) pays it once. Artifacts are cached at three levels:
 //   1. in-process: a registry keyed by the 64-bit FNV-1a content hash of the full
 //      source + compile flags + compiler, so recompiling an identical module is a
-//      map lookup;
+//      map lookup. The source opens with a `/* isa: ... */` line, the target
+//      options the compiler resolves -march=native to on this host, so the hash
+//      (and the disk entry below) also names the vector ISA the code was built for;
 //   2. on disk: <dir>/tn_<hash>.so (plus the .c for debugging) under
 //      TVMCPP_NATIVE_CACHE, shared across processes; unset, a per-process temp
 //      directory is used (no cross-process reuse, no stale-dir management);
@@ -17,10 +19,12 @@
 // Callers hold the NativeKernels they compiled; choosing this tier and falling down
 // from it is the graph executor's job (src/graph/executor.h).
 //
-// Compile flags pin bitwise-exact float semantics: no -ffast-math, -ffp-contract=off
-// (no FMA fusing of a*b+c), and -fno-builtin (libm calls stay real glibc calls, the
-// same ones the interpreter makes, instead of being constant-folded by the compiler
-// with correctly-rounded MPFR results glibc does not match).
+// Compile flags build for the host's vector ISA (-march=native) and pin
+// bitwise-exact float semantics: no -ffast-math, -ffp-contract=off (no FMA fusing
+// of a*b+c, which -march=native would otherwise allow), and -fno-builtin (libm
+// calls stay real glibc calls, the same ones the interpreter makes, instead of
+// being constant-folded by the compiler with correctly-rounded MPFR results glibc
+// does not match).
 #ifndef SRC_CODEGEN_NATIVE_H_
 #define SRC_CODEGEN_NATIVE_H_
 

@@ -27,16 +27,60 @@ struct BufferInfo {
   std::vector<Expr> offsets;     // global coordinate of the local origin per dim (may be empty)
   std::string scope = "global";
   bool external = false;
+  // Storage order of the dims, major to minor; empty means logical order.
+  std::vector<size_t> layout;
 };
 
-// Computes the flat index of local `coords` in a row-major buffer.
-Expr FlattenIndex(const std::vector<Expr>& coords, const std::vector<int64_t>& extents) {
-  CHECK_EQ(coords.size(), extents.size());
+// Computes the flat index of local `coords` in a row-major buffer whose dims are
+// stored in `info.layout` order.
+Expr FlattenIndex(const std::vector<Expr>& coords, const BufferInfo& info) {
+  CHECK_EQ(coords.size(), info.extents.size());
   Expr index = make_int(0);
-  for (size_t i = 0; i < coords.size(); ++i) {
-    index = index * make_int(extents[i]) + coords[i];
+  for (size_t k = 0; k < coords.size(); ++k) {
+    size_t d = info.layout.empty() ? k : info.layout[k];
+    index = index * make_int(info.extents[d]) + coords[d];
   }
   return Simplify(index);
+}
+
+// Storage order of an attached stage's buffer: its dims sorted by the position of the
+// innermost leaf loop each one feeds, so the dim of the innermost loop is minor. A
+// tile reordered as (ow, oc) with oc vectorized is then stored [ow][oc], contiguous
+// across the vector. A stage whose leaf order keeps its logical order keeps it, and
+// so does a shared buffer, which every thread of a block fills cooperatively.
+std::vector<size_t> LeafOrderLayout(const Stage& stage) {
+  const auto* cop = static_cast<const ComputeOpNode*>(stage->op.get());
+  std::vector<size_t> layout(cop->axis.size());
+  for (size_t d = 0; d < layout.size(); ++d) {
+    layout[d] = d;
+  }
+  if (stage->scope == "shared") {
+    return layout;
+  }
+  std::unordered_map<const IterVarNode*, std::vector<size_t>> dims_of;
+  for (size_t d = 0; d < cop->axis.size(); ++d) {
+    dims_of[cop->axis[d].get()] = {d};
+  }
+  for (const IterVarRelation& rel : stage->relations) {
+    if (rel.kind == IterVarRelation::Kind::kSplit) {
+      dims_of[rel.outer.get()] = dims_of[rel.parent.get()];
+      dims_of[rel.inner.get()] = dims_of[rel.parent.get()];
+    } else {
+      std::vector<size_t> dims = dims_of[rel.outer.get()];
+      const std::vector<size_t>& inner = dims_of[rel.inner.get()];
+      dims.insert(dims.end(), inner.begin(), inner.end());
+      dims_of[rel.fused.get()] = std::move(dims);
+    }
+  }
+  std::vector<size_t> innermost(cop->axis.size(), 0);
+  for (size_t pos = 0; pos < stage->leaf_iter_vars.size(); ++pos) {
+    for (size_t d : dims_of[stage->leaf_iter_vars[pos].get()]) {
+      innermost[d] = pos;
+    }
+  }
+  std::stable_sort(layout.begin(), layout.end(),
+                   [&](size_t a, size_t b) { return innermost[a] < innermost[b]; });
+  return layout;
 }
 
 // One scheduled loop to be emitted, outermost first.
@@ -130,13 +174,14 @@ class LowerContext {
   }
 
   void RegisterInternal(const Stage& stage, std::vector<int64_t> extents,
-                        std::vector<Expr> offsets) {
+                        std::vector<Expr> offsets, std::vector<size_t> layout = {}) {
     BufferInfo info;
     info.var = make_var(stage->op->name, DataType::Handle());
     info.dtype = stage->op->output_dtype(0);
     info.extents = std::move(extents);
     info.offsets = std::move(offsets);
     info.scope = stage->scope;
+    info.layout = std::move(layout);
     buffers_[stage->op.get()] = std::move(info);
   }
 
@@ -646,12 +691,12 @@ class StageEmitter {
         extents.push_back(full[static_cast<size_t>(d)]);
       }
     }
-    ctx_->RegisterInternal(child, extents, offsets);
+    ctx_->RegisterInternal(child, extents, offsets, LeafOrderLayout(child));
     Stmt child_nest = ctx_->MakeStageNest(child);
     const BufferInfo& cinfo = ctx_->buffers_.at(child->op.get());
     std::vector<Expr> alloc_extents;
-    for (int64_t e : cinfo.extents) {
-      alloc_extents.push_back(make_int(e));
+    for (size_t d : cinfo.layout) {
+      alloc_extents.push_back(make_int(cinfo.extents[d]));
     }
     allocs->push_back(
         PendingAlloc{cinfo.var, cinfo.dtype, std::move(alloc_extents), cinfo.scope});
@@ -669,7 +714,7 @@ class StageEmitter {
     if (value == nullptr) {
       value = FlattenReads(Substitute(body_expr, global_map_));
     }
-    Expr index = FlattenIndex(coords, info.extents);
+    Expr index = FlattenIndex(coords, info);
     return store(info.var, ctx_->analyzer_.Simplify(value), ctx_->analyzer_.Simplify(index));
   }
 
@@ -680,7 +725,7 @@ class StageEmitter {
       coords.push_back(local_map_.at(iv->var.get()));
     }
     return load(info.dtype, info.var,
-                ctx_->analyzer_.Simplify(FlattenIndex(coords, info.extents)));
+                ctx_->analyzer_.Simplify(FlattenIndex(coords, info)));
   }
 
   // Tensor-intrinsic call. ABI per buffer (output, then inputs in read order):
@@ -712,7 +757,7 @@ class StageEmitter {
       for (const IterVar& iv : cop_->axis) {
         coords.push_back(local_map_.at(iv->var.get()));
       }
-      push_buffer(out_info.var, FlattenIndex(coords, out_info.extents));
+      push_buffer(out_info.var, FlattenIndex(coords, out_info));
     }
     if (include_inputs) {
       Expr body = cop_->body[0];
@@ -738,7 +783,7 @@ class StageEmitter {
                                                                            : make_int(0);
           coords.push_back(Simplify(r->indices[d] - off));
         }
-        input_bufs.emplace_back(info.var, FlattenIndex(coords, info.extents));
+        input_bufs.emplace_back(info.var, FlattenIndex(coords, info));
       });
       for (const auto& [buf, idx] : input_bufs) {
         push_buffer(buf, idx);
@@ -769,7 +814,7 @@ class StageEmitter {
                                                                            : make_int(0);
           coords.push_back(Simplify(n->indices[d] - off));
         }
-        return load(info.dtype, info.var, FlattenIndex(coords, info.extents));
+        return load(info.dtype, info.var, FlattenIndex(coords, info));
       }
 
      private:

@@ -218,6 +218,18 @@ class Vectorizer : public StmtMutator {
       }
       return RebuildBinary(op->kind, std::move(a), std::move(b));
     }
+    if (op->kind == ExprKind::kAdd) {
+      // scalar + ramp(base, stride) is ramp(scalar + base, stride): one ramp instead
+      // of a broadcast, a ramp and a vector add, with the same integer per lane.
+      if (a->kind == ExprKind::kRamp && b->dtype.lanes() == 1) {
+        std::swap(a, b);
+      }
+      const auto* r = b->kind == ExprKind::kRamp ? static_cast<const RampNode*>(b.get())
+                                                 : nullptr;
+      if (r != nullptr && r->lanes == lanes_ && a->dtype.lanes() == 1 && a->dtype.is_int()) {
+        return ramp(add(std::move(a), r->base), r->stride, r->lanes);
+      }
+    }
     a = VectorizeTo(std::move(a));
     b = VectorizeTo(std::move(b));
     if (failed_) {

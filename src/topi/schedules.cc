@@ -33,6 +33,10 @@ int64_t At(const Config& c, const std::string& key, int64_t fallback) {
   return it == c.end() ? fallback : it->second;
 }
 
+// Independent vector accumulators in a blocked conv's register tile: enough to hide
+// the latency of a dependent vector add chain.
+constexpr int64_t kTileVectors = 4;
+
 // Finds the pad stage feeding a conv op (if any).
 Tensor FindPadInput(const Tensor& conv) {
   for (const Tensor& t : conv.op()->InputTensors()) {
@@ -189,13 +193,20 @@ ConfigSpace GetScheduleSpace(const OpWorkload& wl, const Target& target) {
         {"vthread", {1, 2}},
     };
   } else if (wl.oc_block > 0) {
-    // The kernel layout fixes the oc tile at one block. tile_ow = 1 keeps the
-    // accumulator tile one contiguous vector of the block's channels.
+    // The kernel layout fixes the oc tile at whole blocks (ScheduleConvCpu picks how
+    // many from tile_ow). The default tile_ow is the largest divisor of out_w up to
+    // kTileVectors, so a fused conv's accumulator tile fills kTileVectors vectors.
+    std::vector<int64_t> tile_ow = DivisorChoices(out_w, 1, 32);
+    int tile_ow_default = 0;
+    for (size_t i = 0; i < tile_ow.size(); ++i) {
+      if (tile_ow[i] <= kTileVectors) {
+        tile_ow_default = static_cast<int>(i);
+      }
+    }
     space.knobs = {
-        {"tile_ow", DivisorChoices(out_w, 1, 32), 0},
+        {"tile_ow", tile_ow, tile_ow_default},
         {"vectorize", {0, 1}},
         {"parallel", {0, 1}},
-        {"unroll", {0, 1}},
     };
   } else {
     space.knobs = {
@@ -404,21 +415,33 @@ void ScheduleDenseGpu(const Schedule& s, const Tensor& out, const Tensor& master
 // element still sums its terms in the same order as the unscheduled compute.
 //
 // An OIHW kernel tiles oc by the tile_oc knob and vectorizes the ow tile. An
-// OIHW<b>o kernel (wl.oc_block = b) fixes the oc tile at one block and puts it
-// innermost, ow outside it: the MAC's vectorized oc loop then loads b unit-stride
-// weights of one tap, broadcasts one input value, and (at tile_ow = 1) accumulates
-// into one contiguous float[b]. A fused epilogue stays scalar: its NCHW stores
-// are oh * ow apart across the block, and vectorizing them measured slower.
+// OIHW<b>o kernel (wl.oc_block = b) tiles oc by whole blocks and puts the block's
+// lanes innermost, ow outside them: the MAC's vectorized lane loop then loads b
+// unit-stride weights of one tap and broadcasts one input value. Fused, the master's
+// tile is (block, ow, lane), block and ow unrolled: it takes kTileVectors / tile_ow
+// blocks (at least one, and a count that divides oc / b), so one tap issues up to
+// kTileVectors independent vector MACs. Lowering stores an attached stage in its
+// leaf-loop order, so the tile is a contiguous [ow][oc] array. A fused epilogue stays
+// scalar: its NCHW stores are oh * ow apart across the block, and vectorizing them
+// measured slower.
 void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
                      const Config& cfg, const OpWorkload& wl) {
   const bool depthwise = wl.kind == "depthwise_conv2d";
   const bool blocked = wl.oc_block > 0;
   const bool fused = out != master;
-  int64_t toc = blocked ? wl.oc_block : At(cfg, "tile_oc", 4);
   int64_t tow = At(cfg, "tile_ow", 8);
+  int64_t toc = blocked ? wl.oc_block : At(cfg, "tile_oc", 4);
+  if (blocked && fused) {
+    int64_t blocks = std::max<int64_t>(1, kTileVectors / tow);
+    while ((wl.oc / wl.oc_block) % blocks != 0) {
+      --blocks;
+    }
+    toc *= blocks;
+  }
   bool vec = At(cfg, "vectorize", 1) != 0;
   bool par = At(cfg, "parallel", 1) != 0;
-  bool unroll = At(cfg, "unroll", 0) != 0;
+  // The blocked template unrolls its tile instead of the rx window.
+  bool unroll = !blocked && At(cfg, "unroll", 0) != 0;
 
   Tensor pad = FindPadInput(master);
   if (pad.defined()) {
@@ -451,19 +474,25 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
   };
   if (fused) {
     // The master computes one oc x ow tile at owo: n, oh, [rc,] ry, rx, then the
-    // tile (oc, ow; or ow, oc vectorized for a blocked kernel).
+    // tile (oc, ow; or block, ow, lane for a blocked kernel).
     so->reorder({axes[0], oco, axes[2], owo, tile[0], tile[1]});
     Stage sm = (*s)[master];
     sm->compute_at(so, owo);
     std::vector<IterVar> m = sm->leaf_iter_vars;
-    std::vector<IterVar> m_tile =
-        blocked ? std::vector<IterVar>{m[3], m[1]} : std::vector<IterVar>{m[1], m[3]};
-    sm->reorder(reduction_above({m[0], m[2]}, m, m_tile));
-    if (blocked && vec) {
-      sm->vectorize(m[1]);
-    }
-    if (unroll && !depthwise) {
-      sm->unroll(m.back());  // rx
+    if (blocked) {
+      IterVar block, lane;
+      sm->split(m[1], wl.oc_block, &block, &lane);
+      sm->reorder(reduction_above({m[0], m[2]}, m, {block, m[3], lane}));
+      sm->unroll(block);
+      sm->unroll(m[3]);
+      if (vec) {
+        sm->vectorize(lane);
+      }
+    } else {
+      sm->reorder(reduction_above({m[0], m[2]}, m, {m[1], m[3]}));
+      if (unroll && !depthwise) {
+        sm->unroll(m.back());  // rx
+      }
     }
   } else {
     // n, oco, oh, owo, [rc,] ry, rx, then the tile.

@@ -608,14 +608,17 @@ TEST(TuningCache, BlockedConvHasItsOwnSpaceAndKey) {
   EXPECT_NE(TuningKey(blocked, cpu), TuningKey(oihw, cpu));
   EXPECT_EQ(TuningTask(blocked, cpu).CacheKey(), TuningKey(blocked, cpu));
 
-  // The layout fixes the oc tile, so the space has no tile_oc knob, and its
-  // untuned default keeps the accumulator one vector (tile_ow = 1).
+  // The layout fixes the oc tile at whole blocks, so the space has no tile_oc knob,
+  // and the template unrolls its tile itself, so it has no unroll knob. The untuned
+  // tile_ow is the largest divisor of out_w = 14 up to 4: 2, which the fused
+  // template pairs with two oc blocks for a four-vector tile.
   const topi::ConfigSpace space = topi::GetScheduleSpace(blocked, cpu);
   for (const topi::KnobSpec& k : space.knobs) {
     EXPECT_NE(k.name, "tile_oc");
+    EXPECT_NE(k.name, "unroll");
   }
   ASSERT_GT(space.size(), 1);
-  EXPECT_EQ(topi::DefaultConfig(space).at("tile_ow"), 1);
+  EXPECT_EQ(topi::DefaultConfig(space).at("tile_ow"), 2);
   EXPECT_EQ(untuned.compiled()->chosen_configs().at(blocked.Key()), topi::DefaultConfig(space));
 
   // An entry tuned for the OIHW kernel is a clean miss: the untuned default.

@@ -10,10 +10,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -757,6 +760,45 @@ TEST(CodegenGraph, BlockedConvMatchesOihwOnEveryTier) {
   EXPECT_EQ(vm::FallbackCount(), 0);
 }
 
+TEST(CodegenGraph, BlockedConvTilesMatchOnEveryTier) {
+  // The fused blocked template's untuned tile at every shape class it has: tile_ow
+  // is the largest divisor of out_w up to 4, and the oc tile takes 4 / tile_ow
+  // blocks, reduced to a count that divides oc / 8. So out_w 1 and 7 run tile_ow 1
+  // with three blocks (oc 24) and four (oc 32), out_w 2 and 14 run tile_ow 2 with
+  // two blocks (oc 16) and one (oc 8), and out_w 4 and 8 run tile_ow 4 with one
+  // block. Each must equal the OIHW conv on the interpreter bitwise on every tier.
+  ScopedStrictMode strict;
+  vm::ResetFallbackCount();
+  const struct {
+    topi::OpWorkload wl;
+    int64_t tile_ow;
+  } cases[] = {{{"conv2d", 1, 3, 1, 4, 24, 3, 1, 1}, 1}, {{"conv2d", 1, 3, 7, 4, 32, 3, 1, 1}, 1},
+               {{"conv2d", 1, 3, 2, 4, 16, 3, 1, 1}, 2}, {{"conv2d", 1, 3, 14, 4, 8, 3, 1, 1}, 2},
+               {{"conv2d", 1, 3, 4, 4, 16, 3, 1, 1}, 4}, {{"conv2d", 1, 3, 8, 4, 8, 3, 1, 1}, 4}};
+  uint64_t seed = 211;
+  for (const auto& [wl, tile_ow] : cases) {
+    SCOPED_TRACE(wl.Key());
+    topi::OpWorkload blocked = wl;
+    blocked.oc_block = 8;
+    EXPECT_EQ(topi::DefaultConfig(topi::GetScheduleSpace(blocked, Target::ArmA53()))
+                  .at("tile_ow"),
+              tile_ow);
+    const NDArray oihw = NDArray::Random({wl.oc, wl.ic, wl.k, wl.k}, DataType::Float32(), seed);
+    const NDArray kernel = frontend::RandomConvWeight(wl.oc, wl.ic, wl.k, seed++);
+    NDArray want;
+    {
+      ScopedEngine interp(ExecEngine::kInterp);
+      want = RunConvBnAddRelu(CompileConvBnAddRelu(wl, oihw, true, 0), wl, 1);
+    }
+    for (ExecEngine engine : {ExecEngine::kInterp, ExecEngine::kVm, ExecEngine::kNative}) {
+      ScopedEngine scoped(engine);
+      ExpectBitwiseEqual(RunConvBnAddRelu(CompileConvBnAddRelu(wl, kernel, true, 0), wl, 1),
+                         want, "blocked, fused, engine " + std::to_string(static_cast<int>(engine)));
+    }
+  }
+  EXPECT_EQ(vm::FallbackCount(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel path: outlined kParallel loops chunked on the caller's pool
 // ---------------------------------------------------------------------------
@@ -965,7 +1007,9 @@ TEST(CodegenParallel, ForkedChildRunsParallelKernels) {
 TEST(CodegenCache, SecondCompileHitsMemoryThenDisk) {
   ScopedCacheDir cache;
   std::vector<Tensor> t;
-  LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cache_dense");
+  // A shape no other test compiles: symbols name the emitted text alone, so another
+  // test's identical kernel would already sit in the in-process registry.
+  LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cache_dense", 3, 29, 13);
   codegen::ResetNativeStats();
   codegen::NativeKernel first = codegen::CompileNativeKernel(f);
   ASSERT_TRUE(static_cast<bool>(first));
@@ -1007,7 +1051,8 @@ TEST(CodegenCache, SecondCompileHitsMemoryThenDisk) {
 TEST(CodegenCache, CorruptDiskEntryRecompilesNotCrashes) {
   ScopedCacheDir cache;
   std::vector<Tensor> t;
-  LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cache_corrupt");
+  // A shape of its own, for the same reason as SecondCompileHitsMemoryThenDisk.
+  LoweredFunc f = BuildDense(DataType::Float32(), 0, 0, &t, "cg_cache_corrupt", 3, 31, 11);
   codegen::ResetNativeStats();
 
   // Compile, run, and record the result — then release every reference so the
@@ -1054,6 +1099,41 @@ TEST(CodegenCache, CorruptDiskEntryRecompilesNotCrashes) {
   EXPECT_EQ(std::memcmp(a.back().bytes.data(), b.back().bytes.data(),
                         a.back().bytes.size()),
             0);
+}
+
+TEST(CodegenCache, ResNet18CompilesEachDistinctKernelOnce) {
+  // Five of ResNet-18's 24 fused kernels differ from another one only in the names
+  // of their graph nodes (conv1 + bn + relu in s0b0 and s0b1, conv2 + bn + add +
+  // relu in b0 and b1 of every stage). Emitted with positional names they are the
+  // same text, so the module holds 19 distinct kernel functions, built by one
+  // compiler run. The translation unit opens with the ISA line -march=native
+  // resolved to, which puts the host's vector ISA into the content hash.
+  ScopedCacheDir cache;
+  ScopedEngine native(ExecEngine::kNative);
+  codegen::ClearNativeModuleRegistryForTesting();
+  codegen::ResetNativeStats();
+  auto model = frontend::CompileModel(frontend::ResNet18(1, 32), Target::ArmA53());
+  EXPECT_EQ(model->num_kernels(), 24);
+  EXPECT_EQ(codegen::GetNativeStats().compiles, 1);
+  std::vector<std::string> sources;
+  for (const auto& entry : std::filesystem::directory_iterator(cache.dir)) {
+    if (entry.path().extension() == ".c") {
+      std::ifstream is(entry.path());
+      sources.emplace_back(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+    }
+  }
+  ASSERT_EQ(sources.size(), 1u);
+  const std::string& tu = sources[0];
+  int kernels = 0;
+  for (size_t pos = tu.find("\nvoid tn_"); pos != std::string::npos;
+       pos = tu.find("\nvoid tn_", pos + 1)) {
+    ++kernels;
+  }
+  EXPECT_EQ(kernels, 19);
+  ASSERT_EQ(tu.rfind("/* isa: ", 0), 0u) << tu.substr(0, 200);
+  const std::string isa = tu.substr(0, tu.find('\n'));
+  EXPECT_NE(isa, "/* isa: unknown */");
+  EXPECT_EQ(isa.substr(isa.size() - 3), " */");
 }
 
 TEST(CodegenCache, BatchedKernelsShareOneModule) {
@@ -1161,6 +1241,31 @@ TEST(CodegenUnit, SymbolsAreContentAddressedAndStable) {
   codegen::CSource c = codegen::EmitC(g);
   ASSERT_TRUE(c.ok);
   EXPECT_NE(a.symbol, c.symbol);
+  // The same TIR under other function, buffer, loop and let names emits the same
+  // text, so kernels that differ only in their graph nodes' names share one symbol.
+  auto named = [](const std::string& p) {
+    Var in = make_var(p + "_in", DataType::Handle());
+    Var out = make_var(p + "_out", DataType::Handle());
+    Var tmp = make_var(p + "_tmp", DataType::Handle());
+    Var i = make_var(p + "_i");
+    Var x = make_var(p + "_x", DataType::Float32());
+    Stmt body = let_stmt(x, load(DataType::Float32(), in, i),
+                         seq({store(tmp, x * x, make_int(0)),
+                              store(out, load(DataType::Float32(), tmp, make_int(0)), i)}));
+    LoweredFunc fn;
+    fn.name = p + "_square";
+    fn.args = {BufferArg{in, DataType::Float32(), {4}, p + "_in"},
+               BufferArg{out, DataType::Float32(), {4}, p + "_out"}};
+    fn.body = for_stmt(i, make_int(0), make_int(4),
+                       allocate(tmp, DataType::Float32(), {make_int(1)}, "local", body));
+    return codegen::EmitC(fn);
+  };
+  codegen::CSource s0 = named("s0b0_conv1");
+  codegen::CSource s1 = named("s0b1_conv1");
+  ASSERT_TRUE(s0.ok) << s0.error;
+  EXPECT_EQ(s0.symbol, s1.symbol);
+  EXPECT_EQ(s0.code, s1.code);
+  EXPECT_EQ(s0.code.find("conv1"), std::string::npos) << s0.code;
 }
 
 TEST(CodegenUnit, UnsupportedConstructReportsNotOk) {
@@ -1225,10 +1330,13 @@ std::string IndexOf(const std::string& line, const std::string& array) {
 }
 
 TEST(CodegenUnit, BlockedConvMacRunsOverTheChannelBlock) {
-  // A fused OIHW8o conv at its default tile_ow = 1: the accumulator is a zeroed
-  // stack float[8], and the MAC's innermost loop runs over the 8-channel block.
-  // In that loop the weights (a1) are read at unit stride in the lane, the input
-  // value is one broadcast load, and no index divides or takes a modulo.
+  // A fused OIHW8o conv at its default tile: out_w = 8 gives tile_ow 4 and one
+  // oc block, so the accumulator is a zeroed stack float[32] stored [ow][8]. The
+  // MAC's innermost loop runs over the 8-channel block inside the ow loop, which
+  // carries `#pragma GCC unroll 4`, so one tap issues four independent vector
+  // MACs. In the lane loop the tile and the weights (a1) are read at unit stride
+  // in the lane, every other load is lane-invariant, and no index divides or
+  // takes a modulo.
   topi::OpWorkload wl{"conv2d", 1, 8, 8, 16, 16, 3, 1, 1};
   wl.oc_block = 8;
   std::vector<Tensor> t;
@@ -1236,7 +1344,7 @@ TEST(CodegenUnit, BlockedConvMacRunsOverTheChannelBlock) {
   codegen::CSource src = codegen::EmitC(f);
   ASSERT_TRUE(src.ok) << src.error;
   const std::string& code = src.code;
-  const size_t decl = code.find("[8] = {0};");
+  const size_t decl = code.find("[32] = {0};");
   ASSERT_NE(decl, std::string::npos) << code;
   const size_t decl_start = code.rfind('\n', decl) + 1;
   const size_t name_start = code.find("float ", decl_start) + 6;
@@ -1257,23 +1365,47 @@ TEST(CodegenUnit, BlockedConvMacRunsOverTheChannelBlock) {
   }
   ASSERT_NE(mac, std::string::npos) << code;
   const std::string line = code.substr(mac, code.find('\n', mac) - mac);
-  // The innermost loop around it is the 8-lane loop of the block.
-  const size_t loop = code.rfind("for (", mac);
-  ASSERT_NE(loop, std::string::npos);
-  const std::string header = code.substr(loop, code.find('\n', loop) - loop);
-  const size_t lane_start = header.find("int64_t ") + 8;
-  const std::string lane = header.substr(lane_start, header.find(' ', lane_start) - lane_start);
-  EXPECT_EQ(header, "for (int64_t " + lane + " = 0; " + lane + " < 8; ++" + lane + ") {")
+  // The innermost loop around it is the 8-lane loop of the block, and the loop
+  // around that is the unrolled ow loop.
+  auto loop_var = [](const std::string& header) {
+    const size_t start = header.find("int64_t ") + 8;
+    return header.substr(start, header.find(' ', start) - start);
+  };
+  auto header_at = [&](size_t loop) { return code.substr(loop, code.find('\n', loop) - loop); };
+  const size_t lane_loop = code.rfind("for (", mac);
+  ASSERT_NE(lane_loop, std::string::npos);
+  const std::string lane = loop_var(header_at(lane_loop));
+  EXPECT_EQ(header_at(lane_loop),
+            "for (int64_t " + lane + " = 0; " + lane + " < 8; ++" + lane + ") {")
       << "the MAC's innermost loop is not the 8-channel block:\n" << code;
+  const size_t ow_loop = code.rfind("for (", lane_loop - 1);
+  ASSERT_NE(ow_loop, std::string::npos);
+  const std::string ow = loop_var(header_at(ow_loop));
+  const size_t ow_bol = code.rfind('\n', ow_loop);
+  const size_t pragma = code.find_first_not_of(' ', code.rfind('\n', ow_bol - 1) + 1);
+  EXPECT_EQ(code.substr(pragma, ow_bol - pragma), "#pragma GCC unroll 4")
+      << "the ow loop around the lane loop is not unrolled:\n" << code;
+
   const std::string unit_lane = "(int64_t)" + lane + " * INT64_C(1))";
-  const std::string weight = IndexOf(line, "a1");
-  EXPECT_NE(weight.find(unit_lane), std::string::npos) << line;
-  EXPECT_NE(IndexOf(line.substr(line.find(" = ")), tile).find(unit_lane), std::string::npos)
-      << line;
-  const size_t input_at = line.find("conv2d_pad");
-  ASSERT_NE(input_at, std::string::npos) << line;
-  const std::string input = line.substr(input_at, line.find(']', input_at) - input_at);
-  EXPECT_EQ(input.find(lane), std::string::npos) << "input load varies with the lane: " << line;
+  EXPECT_EQ(IndexOf(line.substr(line.find(" = ")), tile),
+            "[((" + ow + " * INT64_C(8)) + " + unit_lane + "]")
+      << "the tile is not stored [ow][8]: " << line;
+  EXPECT_NE(IndexOf(line, "a1").find(unit_lane), std::string::npos) << line;
+  // Every other array the MAC reads (the padded input) is lane-invariant.
+  for (size_t open = line.find('['); open != std::string::npos;
+       open = line.find('[', open + 1)) {
+    size_t name_begin = open;
+    while (name_begin > 0 && (std::isalnum(static_cast<unsigned char>(line[name_begin - 1])) ||
+                              line[name_begin - 1] == '_')) {
+      --name_begin;
+    }
+    const std::string array = line.substr(name_begin, open - name_begin);
+    if (array.empty() || array == tile || array == "a1") {
+      continue;
+    }
+    EXPECT_EQ(IndexOf(line.substr(name_begin), array).find(lane), std::string::npos)
+        << array << " varies with the lane: " << line;
+  }
   for (const char* op : {" / ", " % ", "tn_floordiv", "tn_floormod"}) {
     EXPECT_EQ(line.find(op), std::string::npos) << op << " in the MAC: " << line;
   }

@@ -7,7 +7,10 @@
 
 #include "src/graph/executor.h"
 #include "src/interp/interp.h"
+#include "src/ir/functor.h"
 #include "src/ir/printer.h"
+#include "src/ir/simplify.h"
+#include "src/ir/substitute.h"
 #include "src/lower/lower.h"
 #include "src/schedule/schedule.h"
 #include "src/te/tensor.h"
@@ -179,6 +182,60 @@ TEST(LowerBasic, ComputeAtProducer) {
   RunLowered(f, {Bind(a), Bind(c)});
   for (int j = 0; j < n; ++j) {
     EXPECT_FLOAT_EQ(c[j], 3.0f * (a[j] + 1.0f));
+  }
+}
+
+// An attached stage's buffer is stored in its leaf-loop order: B[16, 4] computed at
+// C's oc tile of 8 with its (oc, ow) leaves reordered to (ow, oc) flattens as
+// ow * 8 + oc, contiguous in the innermost oc loop. Left in logical order, the same
+// stage keeps the logical layout, oc * 4 + ow.
+TEST(LowerBasic, AttachedStageStoredInLeafOrder) {
+  const int oc = 16, ow = 4;
+  for (bool reorder : {true, false}) {
+    SCOPED_TRACE(reorder ? "(ow, oc)" : "(oc, ow)");
+    Tensor A = placeholder({make_int(oc), make_int(ow)}, DataType::Float32(), "A");
+    Tensor B = compute({make_int(oc), make_int(ow)},
+                       [&](const std::vector<Var>& i) {
+                         return A({i[0], i[1]}) + make_float(1.0);
+                       },
+                       "B");
+    Tensor C = compute({make_int(oc), make_int(ow)},
+                       [&](const std::vector<Var>& i) {
+                         return B({i[0], i[1]}) * make_float(3.0);
+                       },
+                       "C");
+    Schedule s = create_schedule({C});
+    Stage sc = (*s)[C];
+    IterVar oco, oci;
+    sc->split(sc->leaf_iter_vars[0], 8, &oco, &oci);
+    Stage sb = (*s)[B];
+    sb->compute_at(sc, oco);
+    IterVar b_oc = sb->leaf_iter_vars[0], b_ow = sb->leaf_iter_vars[1];
+    if (reorder) {
+      sb->reorder({b_ow, b_oc});
+    }
+    LoweredFunc f = Lower(s, {A, C}, "leaf_order");
+
+    Expr index;
+    PostOrderVisitStmt(f.body, [&](const Stmt& st) {
+      if (st->kind == StmtKind::kStore) {
+        const auto* n = static_cast<const StoreNode*>(st.get());
+        if (n->buffer_var->name == "B") {
+          index = n->index;
+        }
+      }
+    });
+    ASSERT_NE(index, nullptr) << ToString(f.body);
+    Expr want = reorder ? Simplify(b_ow->var * make_int(8) + b_oc->var)
+                        : Simplify(b_oc->var * make_int(ow) + b_ow->var);
+    EXPECT_TRUE(StructuralEqual(index, want))
+        << ToString(index) << " vs " << ToString(want) << "\n" << ToString(f.body);
+
+    std::vector<float> a = RandomData(oc * ow, 12), c(oc * ow, 0);
+    RunLowered(f, {Bind(a), Bind(c)});
+    for (int j = 0; j < oc * ow; ++j) {
+      EXPECT_FLOAT_EQ(c[j], 3.0f * (a[j] + 1.0f)) << "at " << j;
+    }
   }
 }
 

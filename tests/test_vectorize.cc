@@ -141,6 +141,34 @@ TEST(VectorizePass, RewritesLoopToVectorOps) {
       << text;
 }
 
+TEST(VectorizePass, ScalarPlusLaneFoldsIntoOneRamp) {
+  // C[k*8 + i] = A[i + k*8] for a vectorized i: each index, the scalar k*8 plus the
+  // lane, becomes one ramp(k*8, 1, 8) rather than x8(k*8) + ramp(0, 1, 8), so the VM
+  // computes it with one kVRamp. The values stay bitwise those of the serial loop.
+  const int n = 8, blocks = 3;
+  Var a = make_var("A", DataType::Handle());
+  Var c = make_var("C", DataType::Handle());
+  Var k = make_var("k");
+  Var i = make_var("i");
+  Expr base = k * make_int(n);
+  Stmt inner = for_stmt(i, make_int(0), make_int(n),
+                        store(c, load(DataType::Float32(), a, i + base) * make_float(2.0),
+                              base + i),
+                        ForType::kVectorized);
+  LoweredFunc f;
+  f.name = "vec_ramp_fold";
+  f.args = {BufferArg{a, DataType::Float32(), {n * blocks}, "A"},
+            BufferArg{c, DataType::Float32(), {n * blocks}, "C"}};
+  f.body = for_stmt(k, make_int(0), make_int(blocks), inner);
+  const std::string text = ToString(VectorizeLoop(f.body));
+  EXPECT_EQ(text.find("x8((k*8))"), std::string::npos) << text;
+  const size_t first = text.find("ramp((k*8), 1, 8)");
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_NE(text.find("ramp((k*8), 1, 8)", first + 1), std::string::npos) << text;
+  ExpectVectorizedIdentical(f, {ArgBuf::Make(n * blocks, DataType::Float32(), 3),
+                                ArgBuf::Make(n * blocks, DataType::Float32(), 4)});
+}
+
 TEST(VectorizePass, LaneInvariantStoreStaysSerial) {
   // A reduction into one element carries a dependence across lanes; the pass must
   // keep the loop serial rather than collapse it to the last lane's write.
