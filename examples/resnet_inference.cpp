@@ -1,19 +1,34 @@
 // End-to-end model deployment: compile ResNet-18 for two targets, inspect fusion and
-// memory planning, and run real inference on a small input (the Section 6 end-to-end
-// evaluation flow in miniature). On the CPU target fused and unfused inference are
-// timed with the host wall clock; the GPU target cannot execute here, so its latency
-// line is the machine-model estimate and is labeled as such.
+// memory planning, and run real inference (the Section 6 end-to-end evaluation flow
+// in miniature). On the CPU target fused and unfused inference are timed with the
+// host wall clock on the engine TVMCPP_ENGINE selects, and the fused model is timed
+// again on the native tier at 1 and N threads; the GPU target cannot execute here,
+// so its latency line is the machine-model estimate and is labeled as such.
+//
+//   resnet_inference [image_size [threads]]
+//
+// image_size defaults to 32 (small enough for the reference interpreter) and threads
+// to the host's core count. `TVMCPP_ENGINE=native resnet_inference 224 4` measures
+// the paper's input size.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "src/frontend/models.h"
 #include "src/graph/executor.h"
+#include "src/runtime/threadpool.h"
 
 using namespace tvmcpp;
 
 namespace {
+
+double Median(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
 
 // Median host wall-clock milliseconds of `runs` Run() calls. Kernels are compiled
 // when the executor is built, so the first run needs no separate warm-up.
@@ -26,17 +41,47 @@ double MedianRunMs(graph::GraphExecutor* exec, int runs) {
                      std::chrono::steady_clock::now() - start)
                      .count());
   }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
+  return Median(std::move(ms));
+}
+
+// Median milliseconds of `runs` requests of `model` after two warm-up requests,
+// with its parallel loops chunked over `threads` workers of `pool`.
+double NativeP50Ms(const std::shared_ptr<const graph::CompiledGraph>& model,
+                   const NDArray& input, ThreadPool* pool, int threads, int runs) {
+  graph::RunContext ctx(model);
+  ctx.SetInput("data", input);
+  vm::ExecOptions exec;
+  exec.num_threads = threads;
+  exec.pool = pool;
+  std::vector<double> ms;
+  for (int i = 0; i < runs + 2; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    model->Run(&ctx, exec);
+    if (i >= 2) {
+      ms.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    }
+  }
+  return Median(std::move(ms));
 }
 
 }  // namespace
 
-int main() {
-  // Small image so even the reference interpreter finishes quickly; the compilation
-  // flow and kernel structure are identical to the 224x224 benchmark configuration.
-  frontend::Model model = frontend::ResNet18(/*batch=*/1, /*image_size=*/32);
-  std::printf("ResNet-18 graph: %d nodes\n", model.graph.num_nodes());
+int main(int argc, char** argv) {
+  const int image_size = argc > 1 ? std::atoi(argv[1]) : 32;
+  const int threads =
+      argc > 2 ? std::atoi(argv[2])
+               : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  if (image_size < 32 || image_size > 512 || threads < 1 || threads > 64) {
+    std::fprintf(stderr,
+                 "usage: %s [image_size in 32..512 [threads in 1..64]]\n", argv[0]);
+    return 2;
+  }
+  frontend::Model model = frontend::ResNet18(/*batch=*/1, image_size);
+  std::printf("ResNet-18 graph at %dx%d: %d nodes\n", image_size, image_size,
+              model.graph.num_nodes());
+  NDArray input = NDArray::Random(model.input_shape, DataType::Float32(), 5);
 
   for (const Target& target : {Target::TitanX(), Target::ArmA53()}) {
     graph::CompileOptions fused_opts;
@@ -56,7 +101,6 @@ int main() {
                   fused.EstimateSeconds() * 1e3, unfused.EstimateSeconds() * 1e3);
       continue;
     }
-    NDArray input = NDArray::Random(model.input_shape, DataType::Float32(), 5);
     for (graph::GraphExecutor* exec : {&fused, &unfused}) {
       exec->SetInput("data", input);
       for (const auto& [name, value] : model.params) {
@@ -79,6 +123,23 @@ int main() {
       }
     }
     std::printf("  inference ran: top class %d (p=%.4f)\n", best_class, best);
+
+    // The same fused model on the native tier, whatever TVMCPP_ENGINE says. The
+    // engine slot is read when the graph compiles and again on every Run().
+    const ExecEngine engine = GetExecEngine();
+    SetExecEngine(ExecEngine::kNative);
+    auto native = std::make_shared<graph::CompiledGraph>(model.graph, target, fused_opts);
+    for (const auto& [name, value] : model.params) {
+      native->SetParam(name, value);
+    }
+    ThreadPool pool(threads);
+    const int native_runs = 30;
+    double serial_ms = NativeP50Ms(native, input, &pool, 1, native_runs);
+    double parallel_ms = NativeP50Ms(native, input, &pool, threads, native_runs);
+    SetExecEngine(engine);
+    std::printf("  native p50: %.3f ms at 1 thread, %.3f ms at %d threads (measured: host "
+                "wall clock, median of %d requests)\n",
+                serial_ms, parallel_ms, threads, native_runs);
   }
   return 0;
 }

@@ -4,12 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/autotune/cache.h"
+#include "src/ir/printer.h"
 #include "src/sim/machine.h"
 #include "src/support/failpoint.h"
 
@@ -43,19 +46,42 @@ ExecEngine GetExecEngine() { return EngineSlot().load(std::memory_order_relaxed)
 namespace graph {
 namespace {
 
+// The identity of a function's compiled code: its signature and body printed with
+// positional variable names. Like the native symbol (a hash of C text that names
+// variables positionally), it is equal for kernels that differ only in the names of
+// their graph nodes.
+std::string CodeKey(const LoweredFunc& f) {
+  std::ostringstream os;
+  for (const BufferArg& a : f.args) {
+    os << a.dtype;
+    for (int64_t d : a.shape) {
+      os << ' ' << d;
+    }
+    os << ';';
+  }
+  os << '\n' << ToPositionalString(f.body);
+  return os.str();
+}
+
 // Compiles the tiers `engine` will try for each of `fns`: a bytecode program unless
 // the engine is interp — under native it is the first fallback tier, so it is
 // compiled eagerly rather than on the first native miss — plus, under native, every
 // function emitted into one C translation unit and built as a single .so (one
 // compiler invocation, one dlopen'd module kept alive by every kernel's shared_ptr).
+// Functions with the same CodeKey share one program.
 void CompileTiers(ExecEngine engine, const std::vector<TieredFunc*>& fns) {
   if (engine == ExecEngine::kInterp) {
     return;
   }
   std::vector<const LoweredFunc*> funcs;
   funcs.reserve(fns.size());
+  std::unordered_map<std::string, std::shared_ptr<const vm::Program>> programs;
   for (TieredFunc* f : fns) {
-    f->program = vm::CompileToProgram(f->func);
+    auto [it, fresh] = programs.emplace(CodeKey(f->func), nullptr);
+    if (fresh) {
+      it->second = vm::CompileToProgram(f->func);
+    }
+    f->program = it->second;
     funcs.push_back(&f->func);
   }
   if (engine == ExecEngine::kNative) {
@@ -365,6 +391,16 @@ void CompiledGraph::Run(RunContext* ctx, const vm::ExecOptions& exec) const {
     bindings.push_back(buffer_of(k.output_node).Binding());
     RunTiers(engine, k, bindings, exec);
   }
+}
+
+int CompiledGraph::num_programs() const {
+  std::unordered_set<const vm::Program*> distinct;
+  for (const Kernel& k : kernels_) {
+    if (k.program != nullptr) {
+      distinct.insert(k.program.get());
+    }
+  }
+  return static_cast<int>(distinct.size());
 }
 
 double CompiledGraph::EstimateSeconds() const {

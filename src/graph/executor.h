@@ -158,6 +158,9 @@ class CompiledGraph {
   std::vector<std::pair<std::string, double>> KernelCosts() const;
 
   int num_kernels() const { return static_cast<int>(kernels_.size()); }
+  // Distinct bytecode programs behind the kernels: kernels whose lowered functions
+  // differ only in variable names share one.
+  int num_programs() const;
   const MemoryPlan& memory_plan() const { return plan_; }
   const Graph& graph() const { return graph_; }
   // The master workloads encountered (for tuning ahead of compilation).

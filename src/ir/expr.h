@@ -240,19 +240,24 @@ class IterVarNode {
 using IterVar = std::shared_ptr<IterVarNode>;
 
 // Reduction over `axis` combining `source` with a named commutative reducer.
-// Only appears inside tensor-expression bodies; lowering eliminates it.
+// Only appears inside tensor-expression bodies; lowering eliminates it. A point of
+// the reduction domain where `condition` (optional, TVM's `where=`) is false
+// contributes nothing: lowering guards the update with it, never the init.
 class ReduceNode : public ExprNode {
  public:
-  ReduceNode(std::string op, Expr source, std::vector<IterVar> axis, Expr identity)
+  ReduceNode(std::string op, Expr source, std::vector<IterVar> axis, Expr identity,
+             Expr condition = nullptr)
       : ExprNode(ExprKind::kReduce, source->dtype),
         op(std::move(op)),
         source(std::move(source)),
         axis(std::move(axis)),
-        identity(std::move(identity)) {}
+        identity(std::move(identity)),
+        condition(std::move(condition)) {}
   const std::string op;  // "sum", "max", or "min"
   const Expr source;
   const std::vector<IterVar> axis;
   const Expr identity;
+  const Expr condition;  // nullptr: every point contributes
 };
 
 // Read of element `indices` of output `value_index` of a tensor operation. This node only

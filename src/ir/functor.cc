@@ -123,6 +123,9 @@ void ExprVisitor::VisitLet(const LetNode* op) {
 void ExprVisitor::VisitReduce(const ReduceNode* op) {
   Visit(op->source);
   Visit(op->identity);
+  if (op->condition != nullptr) {
+    Visit(op->condition);
+  }
 }
 void ExprVisitor::VisitTensorRead(const TensorReadNode* op) {
   for (const Expr& i : op->indices) {
@@ -374,10 +377,13 @@ Expr ExprMutator::MutateLet(const LetNode* op, const Expr& e) {
 Expr ExprMutator::MutateReduce(const ReduceNode* op, const Expr& e) {
   Expr source = Mutate(op->source);
   Expr identity = Mutate(op->identity);
-  if (source.get() == op->source.get() && identity.get() == op->identity.get()) {
+  Expr condition = op->condition == nullptr ? nullptr : Mutate(op->condition);
+  if (source.get() == op->source.get() && identity.get() == op->identity.get() &&
+      condition.get() == op->condition.get()) {
     return e;
   }
-  return std::make_shared<ReduceNode>(op->op, std::move(source), op->axis, std::move(identity));
+  return std::make_shared<ReduceNode>(op->op, std::move(source), op->axis, std::move(identity),
+                                      std::move(condition));
 }
 
 Expr ExprMutator::MutateTensorRead(const TensorReadNode* op, const Expr& e) {

@@ -1,7 +1,10 @@
 #include "src/ir/printer.h"
 
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
 namespace tvmcpp {
 
@@ -42,7 +45,12 @@ const char* BinOpSymbol(ExprKind k) {
 
 class Printer {
  public:
-  explicit Printer(std::ostream& os) : os_(os) {}
+  explicit Printer(std::ostream& os, bool positional = false)
+      : os_(os), positional_(positional) {
+    if (positional_) {
+      os_ << std::setprecision(std::numeric_limits<double>::max_digits10);
+    }
+  }
 
   void PrintExpr(const Expr& e) {
     if (e == nullptr) {
@@ -60,7 +68,7 @@ class Printer {
         os_ << '"' << static_cast<const StringImmNode*>(e.get())->value << '"';
         break;
       case ExprKind::kVar:
-        os_ << static_cast<const VarNode*>(e.get())->name;
+        os_ << Name(static_cast<const VarNode*>(e.get()));
         break;
       case ExprKind::kCast: {
         const auto* n = static_cast<const CastNode*>(e.get());
@@ -98,7 +106,7 @@ class Printer {
       }
       case ExprKind::kLoad: {
         const auto* n = static_cast<const LoadNode*>(e.get());
-        os_ << n->buffer_var->name << "[";
+        os_ << Name(n->buffer_var.get()) << "[";
         PrintExpr(n->index);
         os_ << "]";
         break;
@@ -133,7 +141,7 @@ class Printer {
       }
       case ExprKind::kLet: {
         const auto* n = static_cast<const LetNode*>(e.get());
-        os_ << "(let " << n->var->name << " = ";
+        os_ << "(let " << Name(n->var.get()) << " = ";
         PrintExpr(n->value);
         os_ << " in ";
         PrintExpr(n->body);
@@ -161,9 +169,14 @@ class Printer {
           if (i > 0) {
             os_ << ", ";
           }
-          os_ << n->axis[i]->var->name;
+          os_ << Name(n->axis[i]->var.get());
         }
-        os_ << "])";
+        os_ << "]";
+        if (n->condition != nullptr) {
+          os_ << ", where=";
+          PrintExpr(n->condition);
+        }
+        os_ << ")";
         break;
       }
       default: {
@@ -186,7 +199,7 @@ class Printer {
     switch (s->kind) {
       case StmtKind::kLetStmt: {
         const auto* n = static_cast<const LetStmtNode*>(s.get());
-        os_ << pad << "let " << n->var->name << " = ";
+        os_ << pad << "let " << Name(n->var.get()) << " = ";
         PrintExpr(n->value);
         os_ << "\n";
         PrintStmt(n->body, indent);
@@ -210,7 +223,7 @@ class Printer {
       }
       case StmtKind::kStore: {
         const auto* n = static_cast<const StoreNode*>(s.get());
-        os_ << pad << n->buffer_var->name << "[";
+        os_ << pad << Name(n->buffer_var.get()) << "[";
         PrintExpr(n->index);
         os_ << "] = ";
         PrintExpr(n->value);
@@ -223,7 +236,7 @@ class Printer {
       }
       case StmtKind::kAllocate: {
         const auto* n = static_cast<const AllocateNode*>(s.get());
-        os_ << pad << "allocate " << n->buffer_var->name << "[" << n->dtype;
+        os_ << pad << "allocate " << Name(n->buffer_var.get()) << "[" << n->dtype;
         for (const Expr& e : n->extents) {
           os_ << " * ";
           PrintExpr(e);
@@ -255,7 +268,7 @@ class Printer {
           default:
             break;
         }
-        os_ << pad << kind << " (" << n->loop_var->name;
+        os_ << pad << kind << " (" << Name(n->loop_var.get());
         if (!n->thread_tag.empty()) {
           os_ << ":" << n->thread_tag;
         }
@@ -299,7 +312,18 @@ class Printer {
   }
 
  private:
+  // A variable's own name, or its position of first appearance ("v0", "v1", ...).
+  std::string Name(const VarNode* v) {
+    if (!positional_) {
+      return v->name;
+    }
+    auto it = names_.emplace(v, "v" + std::to_string(names_.size())).first;
+    return it->second;
+  }
+
   std::ostream& os_;
+  const bool positional_;
+  std::unordered_map<const VarNode*, std::string> names_;
 };
 
 }  // namespace
@@ -313,6 +337,12 @@ std::string ToString(const Expr& e) {
 std::string ToString(const Stmt& s) {
   std::ostringstream os;
   Printer(os).PrintStmt(s, 0);
+  return os.str();
+}
+
+std::string ToPositionalString(const Stmt& s) {
+  std::ostringstream os;
+  Printer(os, /*positional=*/true).PrintStmt(s, 0);
   return os.str();
 }
 

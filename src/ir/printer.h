@@ -12,6 +12,10 @@ namespace tvmcpp {
 
 std::string ToString(const Expr& e);
 std::string ToString(const Stmt& s);
+// Prints `s` with every variable named by its first appearance (v0, v1, ...) and
+// float immediates at full precision, so two statements print the same exactly
+// when they differ at most in the names of their variables.
+std::string ToPositionalString(const Stmt& s);
 
 std::ostream& operator<<(std::ostream& os, const Expr& e);
 std::ostream& operator<<(std::ostream& os, const Stmt& s);

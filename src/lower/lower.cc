@@ -138,7 +138,7 @@ class LowerContext {
       }
       body = allocate(info.var, info.dtype, std::move(extents), info.scope, body);
     }
-    body = analyzer_.Simplify(body);
+    body = HoistIfThenElse(analyzer_.Simplify(body));
     body = HoistSharedAllocations(body);
     LoweredFunc func;
     func.name = name_;
@@ -568,6 +568,14 @@ class StageEmitter {
       }
     } else {
       preds = predicates_;
+      // The reduction's `where` guards the update only: a skipped point leaves the
+      // accumulator as the init (or the earlier points) left it.
+      const Expr& where =
+          has_reduce_ ? static_cast<const ReduceNode*>(cop_->body[0].get())->condition
+                      : nullptr;
+      if (where != nullptr) {
+        preds.push_back(FlattenReads(Substitute(where, global_map_)));
+      }
     }
     if (preds.empty()) {
       return body;

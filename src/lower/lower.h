@@ -8,7 +8,8 @@
 //   3. loop-nest construction with storage flattening (TensorRead -> flat Load),
 //      reduction init/update splitting, thread-binding reuse, memory-scope allocation,
 //      barrier injection for shared scopes, and tensorization (Section 4.3)
-//   4. simplification
+//   4. simplification, then HoistIfThenElse (guards lifted out of the loops they do
+//      not depend on)
 //
 // Post passes (target dependent): InjectVirtualThreads (Section 4.4). The host
 // tiers then run PrepareHostBody, and the VM also SpecializeLoops, which expands
@@ -81,6 +82,14 @@ struct LoopSpecializeStats {
 // Innermost unroll()-annotated loops are expanded here too, by the same rule.
 Stmt SpecializeLoops(const Stmt& s, const LoopSpecializeOptions& opts,
                      LoopSpecializeStats* stats = nullptr);
+
+// Splits every else-less guard into its conjuncts and lifts each pure integer one
+// (no load, call, or division by a non-constant) above every enclosing loop whose
+// whole body it guards and whose variable it does not use; thread-bound and vthread
+// loops are never crossed. Under a guard, a select or if_then_else on proven
+// conditions folds to its true arm and a proven integer min/max clamp to its
+// operand. Bitwise-neutral. The last step of Lower(), so every tier runs its result.
+Stmt HoistIfThenElse(const Stmt& s);
 
 // Moves "shared"-scope allocations above the thread-binding loops (shared buffers are
 // per-block, not per-thread). Required for correct serial interpretation and mirrors

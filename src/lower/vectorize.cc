@@ -32,12 +32,70 @@ namespace {
 constexpr int64_t kMaxDirectLanes = 64;
 constexpr int64_t kStripLanes = 16;
 
+Expr RebuildBinary(ExprKind kind, Expr a, Expr b) {
+  switch (kind) {
+    case ExprKind::kAdd: return add(std::move(a), std::move(b));
+    case ExprKind::kSub: return sub(std::move(a), std::move(b));
+    case ExprKind::kMul: return mul(std::move(a), std::move(b));
+    case ExprKind::kDiv: return div(std::move(a), std::move(b));
+    case ExprKind::kMod: return mod(std::move(a), std::move(b));
+    case ExprKind::kMin: return min(std::move(a), std::move(b));
+    case ExprKind::kMax: return max(std::move(a), std::move(b));
+    case ExprKind::kEQ: return eq(std::move(a), std::move(b));
+    case ExprKind::kNE: return ne(std::move(a), std::move(b));
+    case ExprKind::kLT: return lt(std::move(a), std::move(b));
+    case ExprKind::kLE: return le(std::move(a), std::move(b));
+    case ExprKind::kGT: return gt(std::move(a), std::move(b));
+    case ExprKind::kGE: return ge(std::move(a), std::move(b));
+    case ExprKind::kAnd: return logic_and(std::move(a), std::move(b));
+    case ExprKind::kOr: return logic_or(std::move(a), std::move(b));
+    default:
+      LOG(FATAL) << "not a binary kind";
+  }
+}
+
+bool ReadsMemory(const Expr& e) {
+  bool reads = false;
+  PostOrderVisit(e, [&](const Expr& x) { reads |= x->kind == ExprKind::kLoad; });
+  return reads;
+}
+
+// Rebuilds the lane-invariant scalar `e` as a `lanes`-wide expression whose loads are
+// gathers with every lane at the same address, so each load can carry a lane
+// predicate. Returns nullptr for a load under anything but arithmetic and casts.
+Expr PerLane(const Expr& e, int lanes) {
+  if (!ReadsMemory(e)) {
+    return broadcast(e, lanes);
+  }
+  if (e->kind == ExprKind::kLoad) {
+    const auto* n = static_cast<const LoadNode*>(e.get());
+    Expr index = PerLane(n->index, lanes);
+    Expr pred = n->predicate == nullptr ? nullptr : PerLane(n->predicate, lanes);
+    if (index == nullptr || (n->predicate != nullptr && pred == nullptr)) {
+      return nullptr;
+    }
+    return load(n->dtype.with_lanes(lanes), n->buffer_var, index, pred);
+  }
+  if (e->kind == ExprKind::kCast) {
+    Expr v = PerLane(static_cast<const CastNode*>(e.get())->value, lanes);
+    return v == nullptr ? nullptr : cast(e->dtype.with_lanes(lanes), v);
+  }
+  const auto* b = dynamic_cast<const BinaryNode*>(e.get());
+  if (b == nullptr) {
+    return nullptr;
+  }
+  Expr x = PerLane(b->a, lanes);
+  Expr y = PerLane(b->b, lanes);
+  return x == nullptr || y == nullptr ? nullptr : RebuildBinary(e->kind, x, y);
+}
+
 // Appends `pred` (lane-wise AND) to the predicate of every Load inside an expression.
 // Used when a lane-dependent guard is pushed into the arms of a Select/if_then_else or
-// into a guarded store: masked-off lanes must not trap on out-of-bounds reads. A load
-// whose width differs from the mask (a lane-invariant load under a Broadcast) cannot
-// carry the lane predicate — the scalar evaluation path would test it at one lane —
-// so masking fails and the caller keeps the loop serial.
+// into a guarded store: masked-off lanes must not trap on out-of-bounds reads. A
+// lane-invariant load under a Broadcast (a conv's weight under its column guard) is
+// rebuilt per lane (PerLane) and masked like the rest; any other load whose width
+// differs from the mask cannot carry the lane predicate, so masking fails and the
+// caller keeps the loop serial.
 class LoadMasker : public ExprMutator {
  public:
   explicit LoadMasker(Expr pred) : pred_(std::move(pred)) {}
@@ -54,6 +112,18 @@ class LoadMasker : public ExprMutator {
     }
     Expr pred = n->predicate == nullptr ? pred_ : logic_and(n->predicate, pred_);
     return load(n->dtype, n->buffer_var, n->index, pred);
+  }
+
+  Expr MutateBroadcast(const BroadcastNode* op, const Expr& e) override {
+    if (!ReadsMemory(op->value)) {
+      return e;
+    }
+    Expr lanewise = PerLane(op->value, op->lanes);
+    if (lanewise == nullptr) {
+      ok_ = false;
+      return e;
+    }
+    return Mutate(lanewise);
   }
 
  private:
@@ -481,28 +551,6 @@ class Vectorizer : public StmtMutator {
       reason_ = why;
     }
     return e;
-  }
-
-  static Expr RebuildBinary(ExprKind kind, Expr a, Expr b) {
-    switch (kind) {
-      case ExprKind::kAdd: return add(std::move(a), std::move(b));
-      case ExprKind::kSub: return sub(std::move(a), std::move(b));
-      case ExprKind::kMul: return mul(std::move(a), std::move(b));
-      case ExprKind::kDiv: return div(std::move(a), std::move(b));
-      case ExprKind::kMod: return mod(std::move(a), std::move(b));
-      case ExprKind::kMin: return min(std::move(a), std::move(b));
-      case ExprKind::kMax: return max(std::move(a), std::move(b));
-      case ExprKind::kEQ: return eq(std::move(a), std::move(b));
-      case ExprKind::kNE: return ne(std::move(a), std::move(b));
-      case ExprKind::kLT: return lt(std::move(a), std::move(b));
-      case ExprKind::kLE: return le(std::move(a), std::move(b));
-      case ExprKind::kGT: return gt(std::move(a), std::move(b));
-      case ExprKind::kGE: return ge(std::move(a), std::move(b));
-      case ExprKind::kAnd: return logic_and(std::move(a), std::move(b));
-      case ExprKind::kOr: return logic_or(std::move(a), std::move(b));
-      default:
-        LOG(FATAL) << "not a binary kind";
-    }
   }
 
   // Lane-dependent conditional: both arms are evaluated lane-wise and blended, so the

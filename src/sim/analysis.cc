@@ -80,7 +80,17 @@ class Analyzer2 : public StmtVisitor {
   }
 
   void VisitFor(const ForNode* op) override {
-    int64_t extent = ConstOr(op->extent, 1);
+    // A loop whose range a guard narrowed (HoistIfThenElse) depends on the loops
+    // around it: count its largest trip count.
+    int64_t extent = ConstOr(op->extent, -1);
+    if (extent < 0) {
+      ConstBound b = ranges_.GetConstBound(op->extent);
+      extent = b.IsBounded() ? std::max<int64_t>(b.max, 0) : 1;
+    }
+    ConstBound first = ranges_.GetConstBound(op->min);
+    if (first.IsBounded() && extent > 0) {
+      ranges_.Bind(op->loop_var.get(), first.min, first.max + extent - 1);
+    }
     LoopStats ls;
     ls.var_name = op->loop_var->name;
     ls.extent = extent;
@@ -122,12 +132,15 @@ class Analyzer2 : public StmtVisitor {
                                     op->thread_tag, stats_index});
     VisitStmt(op->body);
     loop_stack_.pop_back();
+    ranges_.Unbind(op->loop_var.get());
   }
 
   void VisitIfThenElse(const IfThenElseNode* op) override {
     stats_.branch_count += Multiplier(true);
-    // Both branches analyzed; costs averaged by assuming the guard mostly passes.
-    StmtVisitor::VisitIfThenElse(op);
+    // The guard is assumed to mostly pass, so a two-way branch costs its then-branch
+    // (where HoistIfThenElse puts the unguarded copy of a tile).
+    Visit(op->condition);
+    VisitStmt(op->then_case);
   }
 
   void VisitStore(const StoreNode* op) override {
@@ -155,6 +168,8 @@ class Analyzer2 : public StmtVisitor {
   }
 
  private:
+  Analyzer ranges_;  // bounds of the enclosing loop variables
+
   int64_t ConstOr(const Expr& e, int64_t fallback) const {
     Expr s = Simplify(e);
     int64_t v;

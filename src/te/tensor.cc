@@ -84,10 +84,10 @@ IterVar reduce_axis(Range dom, const std::string& name) {
   return iv;
 }
 
-Expr sum(Expr source, std::vector<IterVar> axis) {
+Expr sum(Expr source, std::vector<IterVar> axis, Expr where) {
   Expr identity = make_zero(source->dtype);
   return std::make_shared<ReduceNode>("sum", std::move(source), std::move(axis),
-                                      std::move(identity));
+                                      std::move(identity), std::move(where));
 }
 
 Expr max_reduce(Expr source, std::vector<IterVar> axis) {

@@ -137,8 +137,9 @@ Tensor compute(std::vector<Expr> shape, const FCompute& fcompute,
 // Declares a reduction axis over [min, min+extent).
 IterVar reduce_axis(Range dom, const std::string& name = "k");
 
-// Reductions; `source` may reference the axis variables.
-Expr sum(Expr source, std::vector<IterVar> axis);
+// Reductions; `source` may reference the axis variables. A sum skips every point of
+// its domain where `where` (when given) is false.
+Expr sum(Expr source, std::vector<IterVar> axis, Expr where = nullptr);
 Expr max_reduce(Expr source, std::vector<IterVar> axis);
 Expr min_reduce(Expr source, std::vector<IterVar> axis);
 

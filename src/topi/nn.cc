@@ -10,17 +10,30 @@ namespace topi {
 
 namespace {
 
+// True when spatial position (h, w) lies inside an in_h x in_w map.
+Expr InBounds(const Expr& h, const Expr& w, int64_t in_h, int64_t in_w) {
+  return logic_and(logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
+                   logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+}
+
 // Guarded (zero-padded) read of NCHW data at spatial position (h, w).
 Expr PadRead(const Tensor& data, const Expr& n, const Expr& c, Expr h, Expr w, int64_t in_h,
              int64_t in_w) {
-  Expr in_bounds = logic_and(logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
-                             logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+  Expr in_bounds = InBounds(h, w, in_h, in_w);
   Expr hc = max(min(h, make_int(in_h - 1)), make_int(0));
   Expr wc = max(min(w, make_int(in_w - 1)), make_int(0));
   return if_then_else(in_bounds, data({n, c, hc, wc}), make_const(data.dtype(), 0));
 }
 
 int64_t Dim(const Tensor& t, int i) { return get_const_int(Simplify(t.shape()[i])); }
+
+// A conv's `where`: padded position (h, w) reads the unpadded map, not the padding.
+Expr PadWhere(const Expr& h, const Expr& w, int pad, int64_t in_h, int64_t in_w) {
+  if (pad == 0) {
+    return nullptr;
+  }
+  return InBounds(h - make_int(pad), w - make_int(pad), in_h, in_w);
+}
 
 }  // namespace
 
@@ -60,7 +73,7 @@ Tensor Conv2dNCHW(const Tensor& data, const Tensor& kernel, int stride, int pad,
                                           i[1] % make_int(block)})
                                 : kernel({i[1], rc->var, ry->var, rx->var});
         Expr val = padded({i[0], rc->var, h, w}) * weight;
-        return sum(val, {rc, ry, rx});
+        return sum(val, {rc, ry, rx}, PadWhere(h, w, pad, in_h, in_w));
       },
       name);
 }
@@ -81,7 +94,7 @@ Tensor DepthwiseConv2dNCHW(const Tensor& data, const Tensor& kernel, int stride,
         Expr h = i[2] * make_int(stride) + ry->var;
         Expr w = i[3] * make_int(stride) + rx->var;
         Expr val = padded({i[0], i[1], h, w}) * kernel({i[1], make_int(0), ry->var, rx->var});
-        return sum(val, {ry, rx});
+        return sum(val, {ry, rx}, PadWhere(h, w, pad, in_h, in_w));
       },
       name);
 }
@@ -105,15 +118,14 @@ Tensor Conv2dTransposeNCHW(const Tensor& data, const Tensor& kernel, int stride,
         Expr w = wn / make_int(stride);
         Expr aligned = logic_and(eq(hn % make_int(stride), make_int(0)),
                                  eq(wn % make_int(stride), make_int(0)));
-        Expr in_bounds = logic_and(
-            logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
-            logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+        Expr in_bounds = InBounds(h, w, in_h, in_w);
         Expr hc = max(min(h, make_int(in_h - 1)), make_int(0));
         Expr wc = max(min(w, make_int(in_w - 1)), make_int(0));
-        Expr val = if_then_else(logic_and(aligned, in_bounds),
-                                data({i[0], rc->var, hc, wc}), make_const(data.dtype(), 0)) *
+        Expr contributes = logic_and(aligned, in_bounds);
+        Expr val = if_then_else(contributes, data({i[0], rc->var, hc, wc}),
+                                make_const(data.dtype(), 0)) *
                    kernel({rc->var, i[1], ry->var, rx->var});
-        return sum(val, {rc, ry, rx});
+        return sum(val, {rc, ry, rx}, contributes);
       },
       name);
 }
@@ -202,8 +214,7 @@ Tensor MaxPool2d(const Tensor& x, int kernel, int stride, int pad, const std::st
       [&](const std::vector<Var>& i) {
         Expr h = i[2] * make_int(stride) + ry->var - make_int(pad);
         Expr w = i[3] * make_int(stride) + rx->var - make_int(pad);
-        Expr in_bounds = logic_and(logic_and(ge(h, make_int(0)), lt(h, make_int(in_h))),
-                                   logic_and(ge(w, make_int(0)), lt(w, make_int(in_w))));
+        Expr in_bounds = InBounds(h, w, in_h, in_w);
         Expr hc = max(min(h, make_int(in_h - 1)), make_int(0));
         Expr wc = max(min(w, make_int(in_w - 1)), make_int(0));
         Expr val = if_then_else(in_bounds, x({i[0], i[1], hc, wc}),

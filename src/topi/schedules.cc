@@ -408,9 +408,15 @@ void ScheduleDenseGpu(const Schedule& s, const Tensor& out, const Tensor& master
 // CPU templates
 // ---------------------------------------------------------------------------
 
-// The pad stage is computed once at root, so the MAC reads the padded buffer
-// unguarded. The reduction axes (rc, ry, rx, in that order, never split) enclose
-// the oc x ow output tile: each operand load then feeds a row of accumulators
+// The pad stage is inlined, and the conv's `where` (the pad's in-bounds test)
+// guards each MAC: a tap that falls in the padding is never loaded or multiplied,
+// and no padded copy of the input is made. HoistIfThenElse (src/lower) turns the
+// row test into ry's range and the column test into rx's, or, in a tile of several
+// ow, splits rx into an unguarded middle and two edges that test each ow outside
+// the lanes; it folds the inlined pad's select and clamps away. A skipped tap would
+// have added 0 * w = +-0 to a sum that is never -0, so outputs are bitwise those of
+// the materialized pad. The reduction axes (rc, ry, rx, in that order, never
+// split) enclose the oc x ow output tile: each operand load then feeds a row of accumulators
 // that stay in the tile instead of one accumulator reloaded per MAC. Every output
 // element still sums its terms in the same order as the unscheduled compute.
 //
@@ -445,7 +451,7 @@ void ScheduleConvCpu(const Schedule& s, const Tensor& out, const Tensor& master,
 
   Tensor pad = FindPadInput(master);
   if (pad.defined()) {
-    (*s)[pad]->compute_root();
+    (*s)[pad]->compute_inline();
   }
   Stage so = (*s)[out];
   CHECK_GE(so->leaf_iter_vars.size(), 4u)
@@ -637,10 +643,6 @@ Schedule ApplyOpSchedule(const OpWorkload& wl, const Target& target, const Built
     } else if (wl.kind == "dense") {
       ScheduleDenseCpu(s, built.output, built.output, config);
     } else if (wl.kind == "conv2d_transpose") {
-      Tensor pad = FindPadInput(built.output);
-      if (pad.defined()) {
-        (*s)[pad]->compute_inline();
-      }
       ScheduleInjective(target, s, built.output);
     } else {
       ScheduleConvCpu(s, built.output, built.output, config, wl);

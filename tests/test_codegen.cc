@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -232,12 +234,16 @@ LoweredFunc BuildDense(DataType dtype, int vectorize, int parallel,
 
 // One conv (or depthwise conv) through the CPU template: as the master of a
 // conv+relu group (`fused`, the epilogue branch) or on its own (output == master).
+// `tile_ow` 0 keeps the template's default.
 LoweredFunc BuildConvCase(const topi::OpWorkload& wl, bool fused, std::vector<Tensor>* tensors,
-                          const std::string& name, int parallel = 1) {
+                          const std::string& name, int parallel = 1, int64_t tile_ow = 0) {
   topi::BuiltOp built = topi::BuildOpCompute(wl);
   Target cpu = Target::ArmA53();
   topi::Config config = topi::DefaultConfig(topi::GetScheduleSpace(wl, cpu));
   config["parallel"] = parallel;
+  if (tile_ow > 0) {
+    config["tile_ow"] = tile_ow;
+  }
   Schedule s;
   Tensor out = built.output;
   if (fused) {
@@ -1130,10 +1136,20 @@ TEST(CodegenCache, ResNet18CompilesEachDistinctKernelOnce) {
     ++kernels;
   }
   EXPECT_EQ(kernels, 19);
+  EXPECT_EQ(model->num_programs(), 19);
   ASSERT_EQ(tu.rfind("/* isa: ", 0), 0u) << tu.substr(0, 200);
   const std::string isa = tu.substr(0, tu.find('\n'));
   EXPECT_NE(isa, "/* isa: unknown */");
   EXPECT_EQ(isa.substr(isa.size() - 3), " */");
+}
+
+TEST(CodegenCache, ResNet18CompilesEachDistinctVmProgramOnce) {
+  // The VM tier keys its programs like the native symbol: the five kernels that
+  // differ from another only in the names of their graph nodes reuse its program.
+  ScopedEngine vm(ExecEngine::kVm);
+  auto model = frontend::CompileModel(frontend::ResNet18(1, 32), Target::ArmA53());
+  EXPECT_EQ(model->num_kernels(), 24);
+  EXPECT_EQ(model->num_programs(), 19);
 }
 
 TEST(CodegenCache, BatchedKernelsShareOneModule) {
@@ -1436,6 +1452,170 @@ TEST(CodegenUnit, LargeOrSymbolicAllocationsStayOnTheHeap) {
     std::vector<ArgBuf> bufs =
         RunAllTiers(f, {Values(DataType::Float32(), {3}), Values(DataType::Float32(), {5})});
     EXPECT_EQ(OutF(bufs), 0.0f);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Guarded convolutions: the conv's `where` skips its zero padding
+// ---------------------------------------------------------------------------
+
+// The formulation the guarded conv replaced: an explicit PadNCHW stage computed at
+// root and an unguarded reduction over the padded buffer (then the relu when
+// `fused`), with the default schedule, over buffers shaped like `like`.
+LoweredFunc BuildPaddedReference(const topi::OpWorkload& wl, bool fused,
+                                 const std::vector<Tensor>& like, const std::string& name) {
+  auto shape_of = [](const Tensor& t) { return t.shape(); };
+  Tensor data = placeholder(shape_of(like[0]), wl.dtype, "data");
+  Tensor kernel = placeholder(shape_of(like[1]), wl.dtype, "kernel");
+  const bool depthwise = wl.kind == "depthwise_conv2d";
+  Tensor padded = topi::PadNCHW(data, wl.pad, "ref.pad");
+  IterVar rc = reduce_axis(Range(make_int(0), make_int(wl.ic)), "ref.rc");
+  IterVar ry = reduce_axis(Range(make_int(0), make_int(wl.k)), "ref.ry");
+  IterVar rx = reduce_axis(Range(make_int(0), make_int(wl.k)), "ref.rx");
+  std::vector<Expr> out_shape = shape_of(like[2]);
+  Tensor conv = compute(
+      out_shape,
+      [&](const std::vector<Var>& i) {
+        Expr h = i[2] * make_int(wl.stride) + ry->var;
+        Expr w = i[3] * make_int(wl.stride) + rx->var;
+        if (depthwise) {
+          return sum(padded({i[0], i[1], h, w}) * kernel({i[1], make_int(0), ry->var, rx->var}),
+                     {ry, rx});
+        }
+        Expr weight = wl.oc_block > 0
+                          ? kernel({i[1] / make_int(wl.oc_block), rc->var, ry->var, rx->var,
+                                    i[1] % make_int(wl.oc_block)})
+                          : kernel({i[1], rc->var, ry->var, rx->var});
+        return sum(padded({i[0], rc->var, h, w}) * weight, {rc, ry, rx});
+      },
+      "ref.conv");
+  Tensor out = fused ? topi::Relu(conv, "ref.relu") : conv;
+  Schedule s = create_schedule({out});
+  if (wl.pad > 0) {
+    (*s)[padded]->compute_root();
+  }
+  return Lower(s, {data, kernel, out}, name);
+}
+
+struct GuardedConvCase {
+  topi::OpWorkload wl;
+  bool fused;
+  int64_t tile_ow;  // 0: the template's default
+};
+
+topi::OpWorkload ConvWl(const std::string& kind, int ic, int hw, int oc, int k, int stride,
+                        int pad, int oc_block) {
+  topi::OpWorkload wl{kind, 1, hw, hw, ic, oc, k, stride, pad};
+  wl.oc_block = oc_block;
+  return wl;
+}
+
+// Every zoo conv class through the CPU template: kernel 1, 3 and 7, stride 1 and 2,
+// maps from 1x1 to 16x16, tile_ow 1, 2 and 4, fused and unfused, blocked OIHW8o
+// and OIHW kernels, and depthwise.
+std::vector<GuardedConvCase> GuardedConvCases() {
+  std::vector<GuardedConvCase> cases;
+  for (int hw : {1, 2, 4, 8, 16}) {
+    for (int64_t tow : {1, 2, 4}) {
+      if (tow <= hw) {
+        cases.push_back({ConvWl("conv2d", 8, hw, 16, 3, 1, 1, 8), true, tow});
+      }
+    }
+  }
+  for (bool fused : {true, false}) {
+    cases.push_back({ConvWl("conv2d", 8, 1, 16, 3, 1, 1, 8), fused, 0});
+    cases.push_back({ConvWl("conv2d", 8, 2, 16, 3, 2, 1, 8), fused, 0});
+    cases.push_back({ConvWl("conv2d", 8, 8, 16, 3, 2, 1, 8), fused, 0});
+    cases.push_back({ConvWl("conv2d", 3, 16, 16, 7, 2, 3, 8), fused, 0});
+    cases.push_back({ConvWl("conv2d", 8, 8, 16, 1, 2, 0, 8), fused, 0});
+    cases.push_back({ConvWl("conv2d", 4, 8, 12, 3, 1, 1, 0), fused, 0});
+    cases.push_back({ConvWl("depthwise_conv2d", 8, 8, 8, 3, 1, 1, 0), fused, 0});
+    cases.push_back({ConvWl("depthwise_conv2d", 8, 8, 8, 3, 2, 1, 0), fused, 0});
+    cases.push_back({ConvWl("depthwise_conv2d", 8, 1, 8, 3, 1, 1, 0), fused, 0});
+  }
+  cases.push_back({ConvWl("conv2d", 8, 8, 16, 3, 1, 1, 8), false, 0});
+  return cases;
+}
+
+TEST(GuardedConv, EveryConvClassMatchesThePaddedReferenceOnEveryTier) {
+  // Skipping a padded tap drops a 0 * w = +-0 term from a sum that starts at +0 and
+  // so is never -0: the guarded conv is bitwise the materialized-pad conv. Each
+  // case runs on the interpreter, the VM and the native tier (one compiler run for
+  // all of them), under strict mode, against the reference on the interpreter.
+  ScopedStrictMode strict;
+  std::vector<GuardedConvCase> cases = GuardedConvCases();
+  std::vector<LoweredFunc> funcs;
+  std::vector<std::vector<Tensor>> tensors(cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    funcs.push_back(BuildConvCase(cases[c].wl, cases[c].fused, &tensors[c],
+                                  "cg_guarded_" + std::to_string(c), /*parallel=*/1,
+                                  cases[c].tile_ow));
+  }
+  std::vector<const LoweredFunc*> ptrs;
+  for (const LoweredFunc& f : funcs) {
+    ptrs.push_back(&f);
+  }
+  std::vector<codegen::NativeKernel> natives = codegen::CompileNativeKernels(ptrs);
+  ASSERT_EQ(natives.size(), cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const GuardedConvCase& gc = cases[c];
+    SCOPED_TRACE(gc.wl.Key() + (gc.fused ? " fused" : " unfused") + " tile_ow " +
+                 std::to_string(gc.tile_ow));
+    LoweredFunc ref = BuildPaddedReference(gc.wl, gc.fused, tensors[c], "cg_padded_ref");
+    std::vector<ArgBuf> args = MakeArgs(tensors[c], 100 + c);
+    std::vector<ArgBuf> expected = args;
+    std::vector<BufferBinding> expected_bind;
+    for (ArgBuf& b : expected) {
+      expected_bind.push_back(b.Bind());
+    }
+    RunLoweredInterp(ref, expected_bind);
+    std::shared_ptr<const vm::Program> prog = vm::CompileToProgram(funcs[c]);
+    ASSERT_NE(prog, nullptr);
+    ASSERT_TRUE(static_cast<bool>(natives[c]));
+    for (int tier = 0; tier < 3; ++tier) {
+      std::vector<ArgBuf> bufs = args;
+      std::vector<BufferBinding> bind;
+      for (ArgBuf& b : bufs) {
+        bind.push_back(b.Bind());
+      }
+      if (tier == 0) {
+        RunLoweredInterp(funcs[c], bind);
+      } else if (tier == 1) {
+        vm::Run(*prog, bind);
+      } else {
+        codegen::RunNativeKernel(natives[c], bind);
+      }
+      EXPECT_EQ(std::memcmp(bufs.back().bytes.data(), expected.back().bytes.data(),
+                            expected.back().bytes.size()),
+                0)
+          << "tier " << tier << " differs from the padded reference";
+    }
+  }
+}
+
+TEST(GuardedConv, PaddingOnlyInfWeightLeavesOutputsFinite) {
+  // A 3x3 conv on a 1x1 map meets data only at its centre tap: the other eight
+  // taps only ever meet padding, so an inf weight there contributes nothing (the
+  // materialized pad would have added 0 * inf = NaN). Identical on all three tiers.
+  for (bool fused : {true, false}) {
+    topi::OpWorkload wl = ConvWl("conv2d", 8, 1, 16, 3, 1, 1, 8);
+    std::vector<Tensor> t;
+    LoweredFunc f = BuildConvCase(wl, fused, &t, "cg_guarded_inf");
+    std::vector<ArgBuf> args = MakeArgs(t, 7);
+    // kernel [oc/8, ic, ky, kx, 8]: every weight of tap (0, 0).
+    float* w = reinterpret_cast<float*>(args[1].bytes.data());
+    for (int64_t ocb = 0; ocb < 2; ++ocb) {
+      for (int64_t ic = 0; ic < 8; ++ic) {
+        for (int64_t lane = 0; lane < 8; ++lane) {
+          w[((ocb * 8 + ic) * 9 + 0) * 8 + lane] = std::numeric_limits<float>::infinity();
+        }
+      }
+    }
+    std::vector<ArgBuf> out = RunAllTiers(f, args);
+    const float* y = reinterpret_cast<const float*>(out.back().bytes.data());
+    for (int64_t i = 0; i < out.back().num_elements; ++i) {
+      EXPECT_TRUE(std::isfinite(y[i])) << (fused ? "fused" : "unfused") << " output " << i;
+    }
   }
 }
 

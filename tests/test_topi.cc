@@ -205,9 +205,10 @@ std::vector<std::string> LeafNames(const Stage& st) {
   return names;
 }
 
-TEST(Topi, ConvCpuTemplateRootPadAndReductionAboveTile) {
-  // The pad is its own root stage, and the reduction axes (in their compute order,
-  // never split) sit above the oc x ow output tile in both template branches.
+TEST(Topi, ConvCpuTemplateInlinePadAndReductionAboveTile) {
+  // The pad is inlined (the conv's `where` skips its padding), and the reduction
+  // axes (in their compute order, never split) sit above the oc x ow output tile in
+  // both template branches.
   OpWorkload wl{"conv2d", 1, 8, 8, 4, 8, 3, 1, 1};
   Target t = Target::ArmA53();
   Config config = DefaultConfig(GetScheduleSpace(wl, t));
@@ -217,13 +218,13 @@ TEST(Topi, ConvCpuTemplateRootPadAndReductionAboveTile) {
 
   Tensor out = Relu(built.output);
   Schedule fused = ScheduleFusedGroup(t, {out}, built.output, config, &wl);
-  EXPECT_EQ(fused->GetStage(pad.op())->attach_type, AttachType::kRoot);
+  EXPECT_EQ(fused->GetStage(pad.op())->attach_type, AttachType::kInline);
   EXPECT_EQ(LeafNames(fused->GetStage(built.output.op())),
             (std::vector<std::string>{"conv2d.i0", "conv2d.i2", "conv2d.rc", "conv2d.ry",
                                       "conv2d.rx", "conv2d.i1", "conv2d.i3"}));
 
   Schedule alone = ApplyOpSchedule(wl, t, built, config);
-  EXPECT_EQ(alone->GetStage(pad.op())->attach_type, AttachType::kRoot);
+  EXPECT_EQ(alone->GetStage(pad.op())->attach_type, AttachType::kInline);
   EXPECT_EQ(LeafNames(alone->GetStage(built.output.op())),
             (std::vector<std::string>{"conv2d.i0", "conv2d.i1.o", "conv2d.i2", "conv2d.i3.o",
                                       "conv2d.rc", "conv2d.ry", "conv2d.rx", "conv2d.i1.i",
