@@ -439,6 +439,10 @@ class StageEmitter {
       if (has_reduce_ && !intrin->update_name.empty()) {
         call_name = intrin->update_name;
       }
+      // The intrinsic runs every point of the loops it replaces.
+      CHECK(!has_reduce_ ||
+            static_cast<const ReduceNode*>(cop_->body[0].get())->condition == nullptr)
+          << "a tensorized reduction cannot skip points with a `where`";
       return GuardPredicates(MakeIntrinCall(call_name, /*include_inputs=*/true),
                              /*for_init=*/false);
     }

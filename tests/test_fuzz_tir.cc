@@ -630,6 +630,63 @@ TEST(FuzzTir, ThreeTierBitwiseDifferential) {
                          << " fuzz cases diverged (seed " << seed << ")";
 }
 
+// HoistIfThenElse (the last step of Lower) must be bitwise-neutral on every
+// corpus program, whose padding guards it lifts, turns into loop ranges or
+// versions: the hoisted body agrees on all three tiers and with the original.
+TEST(FuzzTir, HoistIfThenElseIsBitwiseNeutral) {
+  const uint64_t seed = EnvU64("TVMCPP_FUZZ_SEED", 20260807ULL);
+  const int cases = static_cast<int>(EnvU64("TVMCPP_FUZZ_CASES", 200));
+  std::vector<CaseSpec> specs;
+  std::vector<LoweredFunc> originals;
+  std::vector<LoweredFunc> hoisted;
+  for (int i = 0; i < cases; ++i) {
+    SplitMix64 rng(seed + static_cast<uint64_t>(i));
+    CaseGen gen(&rng, /*allow_let=*/true);
+    specs.push_back(gen.Gen());
+    originals.push_back(BuildCase(specs.back(), "fuzz_orig_" + std::to_string(i)));
+    hoisted.push_back(originals.back());
+    hoisted.back().name = "fuzz_hoisted_" + std::to_string(i);
+    hoisted.back().body = HoistIfThenElse(originals.back().body);
+  }
+  std::vector<const LoweredFunc*> ptrs;
+  for (const LoweredFunc& f : hoisted) {
+    ptrs.push_back(&f);
+  }
+  std::vector<codegen::NativeKernel> kernels = codegen::CompileNativeKernels(ptrs);
+  ASSERT_EQ(kernels.size(), hoisted.size());
+  int failures = 0;
+  for (int i = 0; i < cases && failures < 5; ++i) {
+    const size_t c = static_cast<size_t>(i);
+    const uint64_t fill_seed = seed ^ (0x51ED270B0A1ULL * (static_cast<uint64_t>(i) + 1));
+    std::string why;
+    bool ok = CaseAgrees(specs[c], hoisted[c], kernels[c], fill_seed, &why);
+    if (ok) {
+      std::vector<HostBuf> before = CaseBuffers(specs[c], fill_seed);
+      std::vector<HostBuf> after = before;
+      std::vector<BufferBinding> bb, ab;
+      for (size_t j = 0; j < before.size(); ++j) {
+        bb.push_back(before[j].Bind());
+        ab.push_back(after[j].Bind());
+      }
+      RunLoweredInterp(originals[c], bb);
+      RunLoweredInterp(hoisted[c], ab);
+      for (size_t j = 0; j < before.size() && ok; ++j) {
+        if (std::memcmp(before[j].bytes.data(), after[j].bytes.data(),
+                        before[j].bytes.size()) != 0) {
+          ok = false;
+          why = "hoisted vs original mismatch on buffer " + std::to_string(j);
+        }
+      }
+    }
+    if (!ok) {
+      ++failures;
+      ADD_FAILURE() << "fuzz case " << i << " (TVMCPP_FUZZ_SEED=" << seed << "): " << why
+                    << "\noriginal:\n" << ToString(originals[c].body) << "hoisted:\n"
+                    << ToString(hoisted[c].body);
+    }
+  }
+}
+
 // The generator itself must be deterministic: the same seed yields the same
 // program text (the differential above is meaningless if CI and a local repro
 // see different corpora for one seed).
