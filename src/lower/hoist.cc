@@ -167,6 +167,7 @@ class GuardHoister : public StmtMutator {
       loop = Ranged(op, lo, hi, Guard(kept, body));
     } else if (serial && kept.empty() && branch != nullptr &&
                Partition(op, branch, &loop)) {
+      // `loop` is the sequence of three ranges.
     } else if (Expr all_pass = Tiled(op) && thread_depth_ == 0 ? HoldsThroughout(op, kept)
                                                                  : nullptr) {
       // A tile whose guards pass at both ends passes at every point: run it
