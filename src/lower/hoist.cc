@@ -105,6 +105,11 @@ Expr NonNegForm(const Expr& c) {
   }
 }
 
+// The constant change of `e` per unit step of `v`, when `e` is affine in `v`.
+bool StepIn(const Expr& e, const Var& v, int64_t* step) {
+  return is_const_int(Simplify(Substitute(e, {{v.get(), v + make_int(1)}}) - e), step);
+}
+
 Stmt Guard(const std::vector<Expr>& conds, Stmt body) {
   for (auto it = conds.rbegin(); it != conds.rend(); ++it) {
     body = if_then_else_stmt(*it, std::move(body));
@@ -278,8 +283,7 @@ class GuardHoister : public StmtMutator {
         return nullptr;
       }
       int64_t step;
-      if (!is_const_int(Simplify(Substitute(nonneg, {{v.get(), v + make_int(1)}}) - nonneg),
-                        &step)) {
+      if (!StepIn(nonneg, v, &step)) {
         return nullptr;
       }
       // Monotone in v: the end where it is smallest decides.
@@ -312,11 +316,7 @@ class GuardHoister : public StmtMutator {
     for (const Expr& c : *conds) {
       Expr nonneg = IsPure(c) ? NonNegForm(c) : nullptr;
       int64_t step = 0;
-      if (nonneg != nullptr) {
-        is_const_int(Simplify(Substitute(nonneg, {{v.get(), v + make_int(1)}}) - nonneg),
-                     &step);
-      }
-      if (step != 1 && step != -1) {
+      if (nonneg == nullptr || !StepIn(nonneg, v, &step) || (step != 1 && step != -1)) {
         rest.push_back(c);
         continue;
       }
