@@ -1461,7 +1461,8 @@ TEST(CodegenUnit, LargeOrSymbolicAllocationsStayOnTheHeap) {
 
 // The formulation the guarded conv replaced: an explicit PadNCHW stage computed at
 // root and an unguarded reduction over the padded buffer (then the relu when
-// `fused`), with the default schedule, over buffers shaped like `like`.
+// `fused`), with the default schedule, over buffers shaped like `like`. A
+// transposed conv selects zero for a tap that matches no input, and sums it.
 LoweredFunc BuildPaddedReference(const topi::OpWorkload& wl, bool fused,
                                  const std::vector<Tensor>& like, const std::string& name) {
   auto shape_of = [](const Tensor& t) { return t.shape(); };
@@ -1476,6 +1477,22 @@ LoweredFunc BuildPaddedReference(const topi::OpWorkload& wl, bool fused,
   Tensor conv = compute(
       out_shape,
       [&](const std::vector<Var>& i) {
+        if (wl.kind == "conv2d_transpose") {
+          Expr hn = i[2] + make_int(wl.pad) - ry->var;
+          Expr wn = i[3] + make_int(wl.pad) - rx->var;
+          Expr h = hn / make_int(wl.stride);
+          Expr w = wn / make_int(wl.stride);
+          Expr taken = logic_and(
+              logic_and(eq(hn % make_int(wl.stride), make_int(0)),
+                        eq(wn % make_int(wl.stride), make_int(0))),
+              logic_and(logic_and(ge(h, make_int(0)), lt(h, make_int(wl.h))),
+                        logic_and(ge(w, make_int(0)), lt(w, make_int(wl.w)))));
+          Expr hc = max(min(h, make_int(wl.h - 1)), make_int(0));
+          Expr wc = max(min(w, make_int(wl.w - 1)), make_int(0));
+          return sum(if_then_else(taken, data({i[0], rc->var, hc, wc}), make_zero(wl.dtype)) *
+                         kernel({rc->var, i[1], ry->var, rx->var}),
+                     {rc, ry, rx});
+        }
         Expr h = i[2] * make_int(wl.stride) + ry->var;
         Expr w = i[3] * make_int(wl.stride) + rx->var;
         if (depthwise) {
@@ -1491,7 +1508,7 @@ LoweredFunc BuildPaddedReference(const topi::OpWorkload& wl, bool fused,
       "ref.conv");
   Tensor out = fused ? topi::Relu(conv, "ref.relu") : conv;
   Schedule s = create_schedule({out});
-  if (wl.pad > 0) {
+  if (wl.pad > 0 && wl.kind != "conv2d_transpose") {
     (*s)[padded]->compute_root();
   }
   return Lower(s, {data, kernel, out}, name);
@@ -1512,7 +1529,7 @@ topi::OpWorkload ConvWl(const std::string& kind, int ic, int hw, int oc, int k, 
 
 // Every zoo conv class through the CPU template: kernel 1, 3 and 7, stride 1 and 2,
 // maps from 1x1 to 16x16, tile_ow 1, 2 and 4, fused and unfused, blocked OIHW8o
-// and OIHW kernels, and depthwise.
+// and OIHW kernels, depthwise, and DCGAN's stride-2 transposed conv.
 std::vector<GuardedConvCase> GuardedConvCases() {
   std::vector<GuardedConvCase> cases;
   for (int hw : {1, 2, 4, 8, 16}) {
@@ -1532,6 +1549,7 @@ std::vector<GuardedConvCase> GuardedConvCases() {
     cases.push_back({ConvWl("depthwise_conv2d", 8, 8, 8, 3, 1, 1, 0), fused, 0});
     cases.push_back({ConvWl("depthwise_conv2d", 8, 8, 8, 3, 2, 1, 0), fused, 0});
     cases.push_back({ConvWl("depthwise_conv2d", 8, 1, 8, 3, 1, 1, 0), fused, 0});
+    cases.push_back({ConvWl("conv2d_transpose", 8, 4, 4, 4, 2, 1, 0), fused, 0});
   }
   cases.push_back({ConvWl("conv2d", 8, 8, 16, 3, 1, 1, 8), false, 0});
   return cases;
