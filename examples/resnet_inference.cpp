@@ -25,45 +25,23 @@ using namespace tvmcpp;
 
 namespace {
 
-double Median(std::vector<double> ms) {
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
-
-// Median host wall-clock milliseconds of `runs` Run() calls. Kernels are compiled
-// when the executor is built, so the first run needs no separate warm-up.
-double MedianRunMs(graph::GraphExecutor* exec, int runs) {
+// Median host wall-clock milliseconds of `runs` calls of `run`, after `warmup`
+// untimed calls.
+template <typename Run>
+double MedianRunMs(Run run, int warmup, int runs) {
+  for (int i = 0; i < warmup; ++i) {
+    run();
+  }
   std::vector<double> ms;
   for (int i = 0; i < runs; ++i) {
     auto start = std::chrono::steady_clock::now();
-    exec->Run();
+    run();
     ms.push_back(std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)
                      .count());
   }
-  return Median(std::move(ms));
-}
-
-// Median milliseconds of `runs` requests of `model` after two warm-up requests,
-// with its parallel loops chunked over `threads` workers of `pool`.
-double NativeP50Ms(const std::shared_ptr<const graph::CompiledGraph>& model,
-                   const NDArray& input, ThreadPool* pool, int threads, int runs) {
-  graph::RunContext ctx(model);
-  ctx.SetInput("data", input);
-  vm::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool;
-  std::vector<double> ms;
-  for (int i = 0; i < runs + 2; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    model->Run(&ctx, exec);
-    if (i >= 2) {
-      ms.push_back(std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count());
-    }
-  }
-  return Median(std::move(ms));
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
 }
 
 }  // namespace
@@ -107,9 +85,11 @@ int main(int argc, char** argv) {
         exec->SetParam(name, value);
       }
     }
+    // Kernels are compiled when the executor is built, so the first run needs no
+    // separate warm-up.
     const int runs = 3;
-    double fused_ms = MedianRunMs(&fused, runs);
-    double unfused_ms = MedianRunMs(&unfused, runs);
+    double fused_ms = MedianRunMs([&] { fused.Run(); }, 0, runs);
+    double unfused_ms = MedianRunMs([&] { unfused.Run(); }, 0, runs);
     std::printf("  latency: %.3f ms fused vs %.3f ms unfused (measured: host wall clock, "
                 "median of %d runs)\n",
                 fused_ms, unfused_ms, runs);
@@ -133,9 +113,19 @@ int main(int argc, char** argv) {
       native->SetParam(name, value);
     }
     ThreadPool pool(threads);
+    graph::RunContext ctx(native);
+    ctx.SetInput("data", input);
+    // Median of `native_runs` requests after two warm-up requests, with the parallel
+    // loops chunked over `n` workers of `pool`.
     const int native_runs = 30;
-    double serial_ms = NativeP50Ms(native, input, &pool, 1, native_runs);
-    double parallel_ms = NativeP50Ms(native, input, &pool, threads, native_runs);
+    auto native_p50_ms = [&](int n) {
+      vm::ExecOptions exec;
+      exec.num_threads = n;
+      exec.pool = &pool;
+      return MedianRunMs([&] { native->Run(&ctx, exec); }, 2, native_runs);
+    };
+    double serial_ms = native_p50_ms(1);
+    double parallel_ms = native_p50_ms(threads);
     SetExecEngine(engine);
     std::printf("  native p50: %.3f ms at 1 thread, %.3f ms at %d threads (measured: host "
                 "wall clock, median of %d requests)\n",

@@ -46,23 +46,6 @@ ExecEngine GetExecEngine() { return EngineSlot().load(std::memory_order_relaxed)
 namespace graph {
 namespace {
 
-// The identity of a function's compiled code: its signature and body printed with
-// positional variable names. Like the native symbol (a hash of C text that names
-// variables positionally), it is equal for kernels that differ only in the names of
-// their graph nodes.
-std::string CodeKey(const LoweredFunc& f) {
-  std::ostringstream os;
-  for (const BufferArg& a : f.args) {
-    os << a.dtype;
-    for (int64_t d : a.shape) {
-      os << ' ' << d;
-    }
-    os << ';';
-  }
-  os << '\n' << ToPositionalString(f.body);
-  return os.str();
-}
-
 // Compiles the tiers `engine` will try for each of `fns`: a bytecode program unless
 // the engine is interp — under native it is the first fallback tier, so it is
 // compiled eagerly rather than on the first native miss — plus, under native, every
@@ -122,6 +105,28 @@ void RunTiers(ExecEngine engine, const TieredFunc& f, const std::vector<BufferBi
 }
 
 }  // namespace
+
+// The identity of a function's compiled code: its signature and body printed with
+// positional variable names, the buffer arguments named first in argument order (the
+// VM binds buffers by position). Like the native symbol (a hash of C text that names
+// arguments a0..aN by position), it is equal for kernels that differ only in the
+// names of their graph nodes, and differs for kernels that bind the same-shaped
+// arguments to different roles.
+std::string CodeKey(const LoweredFunc& f) {
+  std::ostringstream os;
+  std::vector<Var> params;
+  params.reserve(f.args.size());
+  for (const BufferArg& a : f.args) {
+    params.push_back(a.var);
+    os << a.dtype;
+    for (int64_t d : a.shape) {
+      os << ' ' << d;
+    }
+    os << ';';
+  }
+  os << '\n' << ToPositionalString(params, f.body);
+  return os.str();
+}
 
 CompiledGraph::CompiledGraph(Graph g, Target target, CompileOptions options)
     : graph_(std::move(g)), target_(std::move(target)), options_(options) {

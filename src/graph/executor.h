@@ -87,6 +87,10 @@ struct TieredFunc {
   codegen::NativeKernel native;
 };
 
+// The identity of a function's compiled code; functions with equal keys share one
+// bytecode program. See executor.cc.
+std::string CodeKey(const LoweredFunc& f);
+
 class CompiledGraph;
 
 // Thrown by CompiledGraph::Run when vm::ExecOptions::deadline passes between kernel

@@ -311,6 +311,9 @@ class Printer {
     }
   }
 
+  // Gives `v` the next positional name before the body is printed.
+  void Bind(const VarNode* v) { Name(v); }
+
  private:
   // A variable's own name, or its position of first appearance ("v0", "v1", ...).
   std::string Name(const VarNode* v) {
@@ -340,9 +343,13 @@ std::string ToString(const Stmt& s) {
   return os.str();
 }
 
-std::string ToPositionalString(const Stmt& s) {
+std::string ToPositionalString(const std::vector<Var>& params, const Stmt& s) {
   std::ostringstream os;
-  Printer(os, /*positional=*/true).PrintStmt(s, 0);
+  Printer printer(os, /*positional=*/true);
+  for (const Var& p : params) {
+    printer.Bind(p.get());
+  }
+  printer.PrintStmt(s, 0);
   return os.str();
 }
 

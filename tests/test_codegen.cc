@@ -1152,6 +1152,41 @@ TEST(CodegenCache, ResNet18CompilesEachDistinctVmProgramOnce) {
   EXPECT_EQ(model->num_programs(), 19);
 }
 
+// Out = relu(X) + sigmoid(Y) over n floats, lowered with its arguments in `order`
+// ("xy": X, Y, Out; "yx": Y, X, Out). Tensor names carry `tag`.
+LoweredFunc ReluPlusSigmoid(const std::string& order, const std::string& tag,
+                            std::vector<Tensor>* tensors) {
+  const int n = 16;
+  Tensor X = placeholder({make_int(n)}, DataType::Float32(), "X" + tag);
+  Tensor Y = placeholder({make_int(n)}, DataType::Float32(), "Y" + tag);
+  Tensor Out = compute({make_int(n)},
+                       [&](const std::vector<Var>& i) {
+                         return max(X({i[0]}), make_float(0.0)) + sigmoid(Y({i[0]}));
+                       },
+                       "Out" + tag);
+  *tensors = order == "xy" ? std::vector<Tensor>{X, Y, Out} : std::vector<Tensor>{Y, X, Out};
+  return Lower(create_schedule({Out}), *tensors, "cg_key_" + order + tag);
+}
+
+TEST(CodegenCache, CodeKeyBindsArgumentsByPosition) {
+  // The VM binds buffers by position, so two functions whose bodies are equal up to
+  // renaming but whose same-shaped arguments play different roles must not share a
+  // program; renaming alone must.
+  std::vector<Tensor> t_xy, t_xy_renamed, t_yx;
+  LoweredFunc xy = ReluPlusSigmoid("xy", "", &t_xy);
+  LoweredFunc xy_renamed = ReluPlusSigmoid("xy", "_other", &t_xy_renamed);
+  LoweredFunc yx = ReluPlusSigmoid("yx", "", &t_yx);
+  EXPECT_EQ(graph::CodeKey(xy), graph::CodeKey(xy_renamed));
+  EXPECT_NE(graph::CodeKey(xy), graph::CodeKey(yx));
+
+  // Both orders compute the same Out from the same X and Y on every tier.
+  std::vector<ArgBuf> xy_args = MakeArgs(t_xy, 131);
+  std::vector<ArgBuf> yx_args = {xy_args[1], xy_args[0], xy_args[2]};
+  std::vector<ArgBuf> xy_out = RunAllTiers(xy, xy_args);
+  std::vector<ArgBuf> yx_out = RunAllTiers(yx, yx_args);
+  EXPECT_EQ(xy_out[2].bytes, yx_out[2].bytes);
+}
+
 TEST(CodegenCache, BatchedKernelsShareOneModule) {
   ScopedCacheDir cache;
   std::vector<Tensor> t1, t2;
